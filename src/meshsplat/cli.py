@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     _teacher_flags(p)
     _add_train_flags(p)
     p.add_argument("--seed", type=int, default=0, help="init + training seed")
-    p.add_argument("--threads", type=int, default=1, help="render threads (1 = reproducible)")
+    p.add_argument("--threads", type=int, default=1, help="render threads (0 = all cores; same bits for any count)")
     p.add_argument("--out", required=True, help="output bundle path (.stu)")
     p.add_argument("--out-texture", help="output refined texture path (.gtx)")
     p.set_defaults(func=cmd_bake)

@@ -1,7 +1,11 @@
 """Tile-based software Gaussian splatter and mesh map rasterizer.
 
-Public surface: ``render`` (color/alpha/normal/depth/semantic channels),
-``sort_keys`` (exact or u16-quantized depth ordering), canonical
+``splat_forward`` is the one splat forward pass: project, cull to the
+visible set, order by ``order_key`` (exact f32 or u16-quantized depth)
+and composite. ``render`` (color/alpha/normal/depth/semantic channels)
+gathers channels and calls it; training's differentiable splat
+(``train.ops.SplatRender``) calls it too. Also here: ``sort_keys`` (the
+visible front-to-back permutation under the same key), canonical
 front/back ``deformation_maps``, ``relight``, and image IO.
 """
 
@@ -51,6 +55,17 @@ def quantized_depth_keys(depth: np.ndarray, near: float, far: float) -> np.ndarr
     return np.clip(k, 0, U16_BINS).astype(np.uint16)
 
 
+def order_key(depth: np.ndarray, camera: Camera, mode: str = "exact_f32") -> np.ndarray:
+    """Front-to-back compositing key: camera depth rounded to float32
+    (``exact_f32``) or quantized to u16 bins over the camera's depth range
+    (``quant_u16``, the deployment ordering). Ties are broken by index."""
+    if mode == "exact_f32":
+        return depth.astype(np.float32)
+    if mode == "quant_u16":
+        return quantized_depth_keys(depth, camera.near, camera.far)
+    raise ValueError(f"unknown sort mode '{mode}'")
+
+
 def sort_keys(gaussians: WorldGaussians, camera: Camera, mode: str = "exact_f32") -> np.ndarray:
     """Front-to-back permutation of the visible Gaussians.
 
@@ -59,40 +74,49 @@ def sort_keys(gaussians: WorldGaussians, camera: Camera, mode: str = "exact_f32"
     """
     proj = project_gaussians(gaussians.means, gaussians.rot_mats, gaussians.scales, camera)
     idx = np.nonzero(proj.visible)[0]
-    depth = proj.depth[idx]
-    if mode == "exact_f32":
-        key = depth.astype(np.float32)
-    elif mode == "quant_u16":
-        key = quantized_depth_keys(depth, camera.near, camera.far)
-    else:
-        raise ValueError(f"unknown sort mode '{mode}'")
-    order = np.lexsort((idx, key))
-    return idx[order]
+    return idx[np.lexsort((idx, order_key(proj.depth[idx], camera, mode)))]
 
 
-def _gather_values(gaussians: WorldGaussians, proj: Projected, idx: np.ndarray, channels):
-    cols = []
-    layout = {}
-    at = 0
+def splat_forward(means, rot_mats, scales, opacity, values, camera: Camera,
+                  sort_mode: str = "exact_f32", threads: int = 1, keep_cache: bool = False):
+    """The splat forward pass that rendering and training share.
+
+    Projects the world Gaussians, culls them to the visible set, orders
+    them by ``order_key`` and composites ``values`` ([N, C], or a function
+    from the ``Projected`` to it). Returns (image [H, W, C+1] with alpha
+    last, Projected, visible indices, TileCache or None).
+    """
+    proj = project_gaussians(means, rot_mats, scales, camera)
+    idx = np.nonzero(proj.visible)[0]
+    if callable(values):
+        values = values(proj)
+    key = order_key(proj.depth[idx], camera, sort_mode)
+    out, cache = composite(proj.means2d[idx], proj.conic[idx], opacity[idx], values[idx], key,
+                           proj.radius[idx], *camera.resolution, keep_cache=keep_cache, threads=threads)
+    return out, proj, idx, cache
+
+
+def _gather_values(gaussians: WorldGaussians, channels):
+    """The requested channels' per-Gaussian columns as a function of the
+    projection (depth is the projected depth), and their column ranges."""
+    cols, layout, at = [], {}, 0
     for ch in channels:
         if ch == "alpha":
             continue
-        if ch == "color":
-            cols.append(gaussians.color[idx])
-        elif ch == "normal":
-            cols.append(gaussians.normal[idx])
-        elif ch == "semantic":
-            if gaussians.semantic is None:
-                raise ValidationError("semantic channel requested but Gaussians carry no labels")
-            cols.append(gaussians.semantic[idx])
-        elif ch == "depth":
-            cols.append(proj.depth[idx, None].astype(np.float32))
-        else:
+        if ch not in CHANNELS:
             raise ValueError(f"unknown channel '{ch}'")
-        n = cols[-1].shape[1]
-        layout[ch] = (at, at + n)
-        at += n
-    values = np.concatenate(cols, axis=1) if cols else np.zeros((idx.size, 0), dtype=np.float32)
+        if ch == "semantic" and gaussians.semantic is None:
+            raise ValidationError("semantic channel requested but Gaussians carry no labels")
+        cols.append(None if ch == "depth" else getattr(gaussians, ch))
+        layout[ch] = (at, at + (1 if ch == "depth" else cols[-1].shape[1]))
+        at = layout[ch][1]
+
+    def values(proj: Projected) -> np.ndarray:
+        if not cols:
+            return np.zeros((proj.depth.size, 0), dtype=np.float32)
+        depth = proj.depth[:, None].astype(np.float32)
+        return np.concatenate([depth if c is None else c for c in cols], axis=1)
+
     return values, layout
 
 
@@ -102,8 +126,7 @@ def render(
     channels=("color", "alpha"),
     sort_mode: str = "exact_f32",
     threads: int = 1,
-    return_cache: bool = False,
-):
+) -> RenderTarget:
     """Splat world Gaussians through the camera into the requested channels.
 
     Background is transparent black. All channels share one binning and
@@ -113,37 +136,14 @@ def render(
     if not np.isfinite(gaussians.opacity).all():
         bad = np.nonzero(~np.isfinite(gaussians.opacity))[0]
         raise ValidationError(f"non-finite opacity at indices {bad[:16].tolist()}")
-    proj = project_gaussians(gaussians.means, gaussians.rot_mats, gaussians.scales, camera)
-    idx = np.nonzero(proj.visible)[0]
-    values, layout = _gather_values(gaussians, proj, idx, channels)
-
-    depth = proj.depth[idx]
-    if sort_mode == "exact_f32":
-        order_key = depth.astype(np.float32).astype(np.float64)
-    elif sort_mode == "quant_u16":
-        order_key = quantized_depth_keys(depth, camera.near, camera.far).astype(np.float64)
-    else:
-        raise ValueError(f"unknown sort mode '{sort_mode}'")
-
+    values, layout = _gather_values(gaussians, channels)
+    out, _, _, _ = splat_forward(gaussians.means, gaussians.rot_mats, gaussians.scales,
+                                 gaussians.opacity, values, camera, sort_mode, threads)
     W, H = camera.resolution
-    out, cache = composite(
-        proj.means2d[idx],
-        proj.conic[idx],
-        gaussians.opacity[idx],
-        values,
-        order_key,
-        proj.radius[idx],
-        W,
-        H,
-        keep_cache=return_cache,
-        threads=threads,
-    )
     target = RenderTarget(width=W, height=H, alpha=out[:, :, -1])
     for ch, (a, b) in layout.items():
         block = out[:, :, a:b]
         setattr(target, ch, block[:, :, 0] if b - a == 1 else block)
-    if return_cache:
-        return target, (proj, idx, values, layout, cache)
     return target
 
 
@@ -212,7 +212,8 @@ def map_camera(template: RiggedTemplate, side: str, resolution: int | tuple[int,
 
 
 __all__ = [
-    "RenderTarget", "render", "sort_keys", "quantized_depth_keys", "relight", "write_image",
+    "RenderTarget", "render", "splat_forward", "order_key", "sort_keys", "quantized_depth_keys",
+    "relight", "write_image",
     "deformation_maps", "rasterize_mesh_map", "rasterize_mesh_camera", "map_bounds",
     "map_caches", "map_camera", "RasterCache", "Projected", "project_gaussians",
     "backproject_mean_grads", "camera_center", "composite", "composite_backward",

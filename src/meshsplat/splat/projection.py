@@ -1,7 +1,7 @@
 """Camera projection of 3D Gaussians to screen space (EWA splatting).
 
-Covariance: sigma_world = R S^2 R^T is carried to camera space and pushed
-through the projection Jacobian; projected covariance eigenvalues are
+Covariance: sigma_world = R S^2 R^T is pushed through the camera rotation
+and the projection Jacobian; projected covariance eigenvalues are
 clamped to a low-pass floor so the thin axis never aliases below a pixel.
 """
 
@@ -103,7 +103,6 @@ def project_gaussians(
     # world covariance -> camera -> screen
     rs = rot_mats.astype(np.float64) * scales.astype(np.float64)[:, None, :]
     cov_w = rs @ np.swapaxes(rs, 1, 2)
-    cov_cam = np.einsum("ab,nbc,dc->nad", Rc, cov_w, Rc)
     # full Jacobian in the camera frame
     cov2d_full = np.einsum("nab,nbc,ndc->nad", jac @ Rc, cov_w, jac @ Rc)
     cov2d = np.stack([cov2d_full[:, 0, 0], cov2d_full[:, 0, 1], cov2d_full[:, 1, 1]], axis=1)
@@ -114,7 +113,6 @@ def project_gaussians(
     conic = np.stack([cov2d[:, 2] / det, -cov2d[:, 1] / det, cov2d[:, 0] / det], axis=1)
     radius = np.maximum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)), RADIUS_FLOOR)
 
-    del cov_cam
     return Projected(
         means2d=means2d,
         depth=z,

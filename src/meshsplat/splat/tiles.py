@@ -33,7 +33,6 @@ class TileCache:
     width: int
     height: int
     n_values: int
-    order: np.ndarray  # [P] global visible-gaussian order (depth, index)
     tiles: list        # (x0, y0, ids [n], w [n, px]) per tile
 
 
@@ -97,14 +96,14 @@ def composite(
 ):
     """Rasterize to [H, W, C+1]; the last channel is alpha.
 
-    ``values`` is [N, C] with every channel composited identically.
-    Inputs must already be restricted to visible Gaussians.
+    ``values`` is [N, C] with every channel composited identically;
+    ``depth`` is the front-to-back order key (ties go by index). Inputs
+    must already be restricted to visible Gaussians.
     """
     n, n_values = values.shape
     out_dtype = np.result_type(means2d.dtype, np.float32)
     out = np.zeros((height, width, n_values + 1), dtype=np.float64)
-    order = np.lexsort((np.arange(n), depth))
-    cache = TileCache(width, height, n_values, order, []) if keep_cache else None
+    cache = TileCache(width, height, n_values, []) if keep_cache else None
     if n == 0:
         return out.astype(out_dtype), cache
 

@@ -167,8 +167,6 @@ def bake(
     config.validate()
     bundle.validate_for(template, texture)
     weights = config.weights
-    lam_lpips = 0.0  # forced; config keeps the field for fidelity
-    del lam_lpips
     if len(teacher.frames) != len(sequence):
         raise ValidationError(
             f"teacher supplies {len(teacher.frames)} frames, sequence has {len(sequence)}"
@@ -204,14 +202,11 @@ def bake(
         "o": Tensor(np.array(texture.opacity_logit, dtype=np.float32), True),
         "sh": Tensor(np.array(texture.sh, dtype=np.float32), True),
         "gamma": Tensor(np.array(texture.gamma, dtype=np.float32), True),
-        # rotation/scale are registered parameter groups, but the splat
-        # backward is restricted to color/opacity/mean, so they hold still
-        "rot": Tensor(np.array(texture.rotation, dtype=np.float32), True),
-        "log_scale": Tensor(np.array(texture.log_scale, dtype=np.float32), True),
     }
     groups = {
         "mlp": _flatten_nets([params["sb"], params["sc"]]),
-        "attributes": [params["o"], params["sh"], params["gamma"], params["rot"], params["log_scale"]],
+        # no gradient reaches rotation or scale (no covariance backward)
+        "attributes": [params["o"], params["sh"], params["gamma"]],
     }
     if not config.freeze_embeddings:
         groups["embeddings"] = [params["z_table"]]
@@ -229,8 +224,8 @@ def bake(
             opacity_logit=params["o"].data.copy(),
             sh=params["sh"].data.copy(),
             gamma=params["gamma"].data.copy(),
-            rotation=params["rot"].data.copy(),
-            log_scale=params["log_scale"].data.copy(),
+            rotation=np.array(texture.rotation, dtype=np.float32),
+            log_scale=np.array(texture.log_scale, dtype=np.float32),
         )
         return b, tex
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from ..assets import Camera, GaussianTexture, RiggedTemplate
-from ..splat import composite, composite_backward, meshraster, project_gaussians, quantized_depth_keys
+from ..splat import backproject_mean_grads, composite_backward, meshraster, splat_forward
 from .engine import Function, Tensor
 
 
@@ -89,46 +89,29 @@ def conv_gaussian(img: Tensor, kernel: np.ndarray) -> Tensor:
 class SplatRender(Function):
     """Differentiable splat of (means3d, values, opacity) -> [H, W, C+1].
 
-    The last output channel is alpha. Rotations and scales fix the
+    The forward pass is the renderer's ``splat_forward`` in exact depth
+    order; the last output channel is alpha. Rotations and scales fix the
     footprint (no covariance gradient); mean gradients flow through the
-    weight exponent and return to 3D via the projection Jacobian.
+    weight exponent and return to 3D via ``backproject_mean_grads``.
     """
 
-    def forward(self, means3d, values, opacity, camera=None, rot_mats=None, scales=None,
-                sort_mode="exact_f32", threads=1):
-        proj = project_gaussians(means3d, rot_mats, scales, camera)
-        idx = np.nonzero(proj.visible)[0]
-        depth = proj.depth[idx]
-        if sort_mode == "quant_u16":
-            key = quantized_depth_keys(depth, camera.near, camera.far).astype(np.float64)
-        else:
-            key = depth.astype(np.float32).astype(np.float64)
-        W, H = camera.resolution
-        out, cache = composite(
-            proj.means2d[idx], proj.conic[idx], opacity[idx], values[idx],
-            key, proj.radius[idx], W, H, keep_cache=True, threads=threads,
-        )
-        self.proj = proj
-        self.idx = idx
-        self.cache = cache
-        self.sub = (proj.means2d[idx], proj.conic[idx], opacity[idx], values[idx])
-        self.full_shapes = (means3d.shape, values.shape, opacity.shape)
+    def forward(self, means3d, values, opacity, camera=None, rot_mats=None, scales=None, threads=1):
+        out, self.proj, self.idx, self.cache = splat_forward(
+            means3d, rot_mats, scales, opacity, values, camera, threads=threads, keep_cache=True)
+        self.sub = (self.proj.means2d[self.idx], self.proj.conic[self.idx], opacity[self.idx],
+                    values[self.idx])
         return out.astype(means3d.dtype)
 
     def backward(self, g):
-        means2d, conic, opacity, values = self.sub
-        d_values, _d_alpha_value, d_opacity, d_means2d = composite_backward(
-            self.cache, means2d, conic, opacity, values, g
-        )
-        s_means, s_values, s_opacity = self.full_shapes
-        gm = np.zeros(s_means, dtype=g.dtype)
-        gv = np.zeros(s_values, dtype=g.dtype)
-        go = np.zeros(s_opacity, dtype=g.dtype)
-        jac = self.proj.jac[self.idx]
-        gm[self.idx] = np.einsum("nab,na->nb", jac, d_means2d)
+        d_values, _, d_opacity, d_means2d = composite_backward(self.cache, *self.sub, g)
+        n = self.proj.means2d.shape[0]
+        d2d = np.zeros((n, 2))
+        gv = np.zeros((n, d_values.shape[1]), dtype=g.dtype)
+        go = np.zeros(n, dtype=g.dtype)
+        d2d[self.idx] = d_means2d
         gv[self.idx] = d_values
         go[self.idx] = d_opacity
-        return gm, gv, go
+        return backproject_mean_grads(self.proj, d2d).astype(g.dtype), gv, go
 
 
 def splat_render(
@@ -138,12 +121,10 @@ def splat_render(
     camera: Camera,
     rot_mats: np.ndarray,
     scales: np.ndarray,
-    sort_mode: str = "exact_f32",
     threads: int = 1,
 ) -> Tensor:
     return SplatRender.apply(
-        means3d, values, opacity,
-        camera=camera, rot_mats=rot_mats, scales=scales, sort_mode=sort_mode, threads=threads,
+        means3d, values, opacity, camera=camera, rot_mats=rot_mats, scales=scales, threads=threads,
     )
 
 

@@ -29,10 +29,10 @@ class Adam:
                  sparse_rows: tuple = ("embeddings",),
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.groups = groups
-        self.lrs = dict(DEFAULT_LRS)
-        if lrs:
-            self.lrs.update(lrs)
-        self.weight_decay = dict(weight_decay or {})
+        # Python floats: under NumPy 2 promotion a NumPy float64 scalar
+        # would turn float32 parameters into float64
+        self.lrs = {k: float(v) for k, v in {**DEFAULT_LRS, **(lrs or {})}.items()}
+        self.weight_decay = {k: float(v) for k, v in (weight_decay or {}).items()}
         self.sparse_rows = set(sparse_rows)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0

@@ -2,17 +2,18 @@
 
 Every trainable path is finite-difference checked on small fixtures
 before training is allowed: plain linear layers, the deformation MLPs,
-mapping nets, blend shapes, D-SSIM, the non-rigid map loss, and the
-splat backward (color / opacity / 2D mean). Smooth paths must agree to
-1e-3 relative, the splat backward to 1e-2.
+mapping nets, blend shapes, D-SSIM, the non-rigid map loss, the splat
+backward (color / opacity / 2D mean), the projection Jacobian, and
+training's differentiable splat end to end (``ops.splat_render``).
+Smooth paths must agree to 1e-3 relative, the splat paths to 1e-2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..assets import DeformationMap, perspective_camera
-from ..splat import composite, composite_backward
+from ..assets import Camera, DeformationMap, look_at, perspective_camera
+from ..splat import backproject_mean_grads, composite, composite_backward, meshraster, project_gaussians
 from . import losses, ops
 from .engine import Tensor, mlp_apply
 from .gradcheck import GradReport, grad_check
@@ -119,8 +120,6 @@ def check_nonrigid(seed: int = 5) -> GradReport:
             faces.append([a, a + 1, a + side])
             faces.append([a + 1, a + side + 1, a + side])
     faces = np.asarray(faces, dtype=np.uint32)
-    from ..splat import meshraster
-
     bounds = meshraster.map_bounds(verts)
     pts2d, w, h = meshraster.map_projection(verts, bounds, 16)
     front = meshraster._rasterize(pts2d, -verts[:, 1], faces, w, h)
@@ -156,8 +155,6 @@ def check_splat(seed: int = 6) -> GradReport:
     """Finite differences through the tile forward for the contracted
     splat backward channels: values, opacity, and 2D means."""
     means, rots, scales, opacity, values, cam = _three_gaussian_scene(seed)
-    from ..splat import project_gaussians
-
     proj = project_gaussians(means, rots, scales, cam)
     rng = np.random.default_rng(seed + 1)
     W, H = cam.resolution
@@ -178,8 +175,6 @@ def check_splat(seed: int = 6) -> GradReport:
 def check_projection(seed: int = 7) -> GradReport:
     """World-mean gradients through the projection Jacobian."""
     means, rots, scales, opacity, values, cam = _three_gaussian_scene(seed)
-    from ..splat import backproject_mean_grads, project_gaussians
-
     rng = np.random.default_rng(seed + 1)
     g2d = rng.normal(size=(3, 2))
 
@@ -192,6 +187,25 @@ def check_projection(seed: int = 7) -> GradReport:
     return grad_check(f, [means], TOL_SMOOTH, seed=seed)
 
 
+def check_splat_render(seed: int = 8) -> GradReport:
+    """Training's differentiable splat end to end: world means, values and
+    opacity through ``ops.splat_render``. The camera is orthographic, so
+    the projected covariance does not depend on the mean and no term the
+    backward pass holds fixed moves under the finite differences. The
+    weights jump to zero at the 3-sigma cutoff; at 16 px/m no pixel center
+    lies within 13 FD steps of a cutoff (at 15 px/m some lie on one).
+    """
+    means, rots, scales, opacity, values, _ = _three_gaussian_scene(seed)
+    cam = Camera("ortho-front", (24, 24), np.array([1.5, 1.5, 0.0, 0.0], dtype=np.float32),
+                 look_at((0.0, 4.0, 0.0), (0.0, 0.0, 0.0)), near=0.1, far=10.0)
+    g_out = np.random.default_rng(seed + 1).normal(size=(24, 24, values.shape[1] + 1))
+
+    def build(ts):
+        return (ops.splat_render(ts[0], ts[1], ts[2], cam, rots, scales) * Tensor(g_out)).sum()
+
+    return grad_check(engine_fn(build), [means, values, opacity], TOL_SPLAT, seed=seed)
+
+
 SUITES = {
     "linear": check_linear,
     "mlp": check_mlp,
@@ -201,6 +215,7 @@ SUITES = {
     "nonrigid_loss": check_nonrigid,
     "splat_backward": check_splat,
     "projection": check_projection,
+    "splat_render": check_splat_render,
 }
 
 

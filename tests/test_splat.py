@@ -200,6 +200,65 @@ def test_quantized_keys_monotone():
     assert (np.diff(k.astype(int)) >= 0).all()
 
 
+def test_render_quant_u16_follows_sort_keys_order():
+    rng = np.random.default_rng(5)
+    cam = _front_camera()
+    wg = _random_cloud(rng, 40, scale_range=(0.1, 0.3))
+    # Gaussian 0 sits a quarter bin behind Gaussian 1 inside one u16 bin:
+    # exact ordering puts 1 in front, the quantized tie keeps index order
+    bin_width = (cam.far - cam.near) / splat.U16_BINS
+    d = cam.near + 6000.5 * bin_width
+    wg.means[0] = (0.0, 3.0 - (d + 0.25 * bin_width), 0.0)
+    wg.means[1] = (0.0, 3.0 - (d - 0.25 * bin_width), 0.0)
+    quant = splat.sort_keys(wg, cam, "quant_u16")
+    assert not np.array_equal(quant, splat.sort_keys(wg, cam, "exact_f32"))
+
+    proj = splat.project_gaussians(wg.means, wg.rot_mats, wg.scales, cam)
+    idx = np.nonzero(proj.visible)[0]
+    rank = np.empty(len(wg.means), dtype=np.int64)
+    rank[quant] = np.arange(quant.size)
+    ref, _ = splat.composite(proj.means2d[idx], proj.conic[idx], wg.opacity[idx], wg.color[idx],
+                             rank[idx], proj.radius[idx], *cam.resolution)
+    t = splat.render(wg, cam, sort_mode="quant_u16")
+    assert np.array_equal(t.color, ref[..., :3])
+    assert np.array_equal(t.alpha, ref[..., 3])
+    assert not np.array_equal(t.color, splat.render(wg, cam).color)
+
+
+# ---------------------------------------------------------------------------
+# the shared forward: training's differentiable splat
+
+
+def test_splat_render_matches_render_and_backprojects_mean_grads():
+    from meshsplat.train import engine, ops
+
+    rng = np.random.default_rng(6)
+    cam = _front_camera()
+    wg = _random_cloud(rng, 50)
+    wg.means[:4, 1] = 3.5  # behind the camera: culled
+    means = engine.Tensor(wg.means.astype(np.float64), requires_grad=True)
+    color = engine.Tensor(wg.color.astype(np.float64), requires_grad=True)
+    opacity = engine.Tensor(wg.opacity.astype(np.float64), requires_grad=True)
+    img = ops.splat_render(means, color, opacity, cam, wg.rot_mats, wg.scales)
+    t = splat.render(wg, cam)
+    assert np.array_equal(img.data[..., :3], t.color)
+    assert np.array_equal(img.data[..., 3], t.alpha)
+
+    g = rng.normal(size=img.data.shape)
+    (img * engine.constant(g)).sum().backward()
+    proj = splat.project_gaussians(wg.means, wg.rot_mats, wg.scales, cam)
+    idx = np.nonzero(proj.visible)[0]
+    assert idx.size < len(wg.means)
+    sub = (proj.means2d[idx], proj.conic[idx], wg.opacity[idx], wg.color[idx])
+    _, cache = splat.composite(*sub, proj.depth[idx].astype(np.float32), proj.radius[idx],
+                               *cam.resolution, keep_cache=True)
+    d_means2d = np.zeros_like(proj.means2d)
+    d_means2d[idx] = splat.composite_backward(cache, *sub, g)[3]
+    expected = splat.backproject_mean_grads(proj, d_means2d)
+    assert np.array_equal(means.grad, expected)
+    assert np.abs(expected).max() > 0
+
+
 # ---------------------------------------------------------------------------
 # mesh maps
 

@@ -202,6 +202,17 @@ def test_quantize_idempotent(clothed_rig, clothed_texture):
         assert np.array_equal(b1, b2)
 
 
+def test_adam_keeps_float32_with_numpy_scalar_lr():
+    # NumPy 2 promotes float32 - np.float64 * float32 to float64
+    p = train.Tensor(np.ones((3, 2), np.float32), requires_grad=True)
+    p.grad = np.full((3, 2), 0.5, np.float32)
+    opt = train.Adam({"mlp": [p]}, lrs={"mlp": np.float64(1e-3)},
+                     weight_decay={"mlp": np.float64(0.1)})
+    opt.step()
+    assert p.data.dtype == np.float32
+    assert np.all(p.data < 1.0)
+
+
 # ---------------------------------------------------------------------------
 # training-stage behaviors (tiny runs)
 
