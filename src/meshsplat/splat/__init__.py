@@ -6,7 +6,9 @@ and composite. ``render`` (color/alpha/normal/depth/semantic channels)
 gathers channels and calls it; training's differentiable splat
 (``train.ops.SplatRender``) calls it too. Also here: ``sort_keys`` (the
 visible front-to-back permutation under the same key), canonical
-front/back ``deformation_maps``, ``relight``, and image IO.
+front/back ``deformation_maps`` (``map_caches`` rasterizes a template
+once and ``apply_map_caches`` interpolates a field through that raster),
+``relight``, and image IO.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import images, meshraster, projection, tiles
 from .images import read_pgm, read_ppm, write_pgm, write_png, write_ppm
 from .meshraster import (
     RasterCache,
+    apply_map_caches,
     deformation_maps,
     map_bounds,
     map_caches,
@@ -215,7 +218,7 @@ __all__ = [
     "RenderTarget", "render", "splat_forward", "order_key", "sort_keys", "quantized_depth_keys",
     "relight", "write_image",
     "deformation_maps", "rasterize_mesh_map", "rasterize_mesh_camera", "map_bounds",
-    "map_caches", "map_camera", "RasterCache", "Projected", "project_gaussians",
+    "map_caches", "apply_map_caches", "map_camera", "RasterCache", "Projected", "project_gaussians",
     "backproject_mean_grads", "camera_center", "composite", "composite_backward",
     "write_ppm", "read_ppm", "write_pgm", "read_pgm", "write_png", "TILE", "U16_BINS",
     "images", "meshraster", "projection", "tiles", "CHANNELS",

@@ -2,6 +2,16 @@
 interpolation, used for the canonical front/back deformation maps and for
 mesh renders under a scene camera.
 
+The rasterizer is one vectorized pass with no per-triangle loop. The
+(face, pixel) pairs of every face's clipped pixel bbox are expanded with
+repeat/cumsum indexing, as tile binning does. Each pair's pixel centre is
+tested with Pineda's edge functions ("A Parallel Algorithm for Polygon
+Rasterization", SIGGRAPH 1988), which also give its barycentric weights
+and interpolated depth. The z-buffer is two scatter-minimums per pixel:
+the least depth, then the lowest face index among the pairs at that
+depth. The result is the same, bit for bit, as filling a z-buffer one
+triangle at a time in index order with a strict ``<`` depth test.
+
 Interpolation uses screen-space barycentric weights, so for a fixed mesh
 every output pixel is an exact fixed linear combination of three vertex
 attributes; the returned cache exposes that sparse structure.
@@ -13,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..assets import Camera, DeformationMap, RiggedTemplate
+from ..assets import Camera, DeformationMap, RiggedTemplate, ValidationError
 
 MAP_MARGIN = 0.05  # fractional bbox margin for front/back maps
+_CHUNK_PAIRS = 1 << 17  # (face, pixel) pairs evaluated at once; bounds scratch memory
 
 
 @dataclass
@@ -40,61 +51,111 @@ class RasterCache:
         return img, mask
 
     def backward(self, d_img: np.ndarray) -> np.ndarray:
-        """Scatter image gradients back to vertex attributes."""
-        d_attrs = np.zeros((self.n_verts, d_img.shape[2]))
+        """Scatter image gradients back to vertex attributes.
+
+        One bincount per channel over the corners in order k = 0, 1, 2,
+        each over the pixels in order: the summation order of three
+        ``np.add.at`` scatters, one per corner.
+        """
         g = d_img.astype(np.float64)[self.pix_rows, self.pix_cols]  # [P,C]
-        for k in range(3):
-            np.add.at(d_attrs, self.vidx[:, k], self.weights[:, k : k + 1] * g)
+        idx = self.vidx.T.ravel()
+        contrib = (g.T[:, None, :] * self.weights.T[None]).reshape(g.shape[1], -1)  # [C, 3P]
+        d_attrs = np.zeros((self.n_verts, g.shape[1]))
+        for c in range(g.shape[1]):
+            d_attrs[:, c] = np.bincount(idx, contrib[c], minlength=self.n_verts)
         return d_attrs
 
 
-def _rasterize(pts2d: np.ndarray, z: np.ndarray, faces: np.ndarray, width: int, height: int,
-               front_facing_only: bool = False) -> RasterCache:
-    """Core scanline fill; z smaller = closer. Pixel centers at +0.5."""
-    zbuf = np.full((height, width), np.inf)
-    fbuf = np.full((height, width), -1, dtype=np.int64)
-    wbuf = np.zeros((height, width, 3))
+def _check_finite(verts: np.ndarray) -> None:
+    bad = np.nonzero(~np.isfinite(verts).all(axis=1))[0]
+    if bad.size:
+        raise ValidationError(f"non-finite vertex at indices {bad[:16].tolist()}")
 
+
+def _nearest_per_pixel(pix: np.ndarray, zi: np.ndarray, face: np.ndarray, n_pix: int) -> np.ndarray:
+    """Index of the nearest candidate of each covered pixel.
+
+    The z-buffer's strict ``zi < zbuf`` rule over faces in index order:
+    least depth wins, and the lower face index on an exact tie. A face
+    is a candidate at most once per pixel, so each pixel keeps one.
+    """
+    zbuf = np.full(n_pix, np.inf)
+    np.minimum.at(zbuf, pix, zi)
+    cand = np.nonzero(zi == zbuf[pix])[0]
+    fbuf = np.full(n_pix, np.iinfo(np.int64).max)
+    np.minimum.at(fbuf, pix[cand], face[cand])
+    return cand[face[cand] == fbuf[pix[cand]]]
+
+
+def _rasterize(pts2d: np.ndarray, z: np.ndarray, faces: np.ndarray, width: int, height: int) -> RasterCache:
+    """Edge-function test of each face's clipped pixel bbox, then a
+    per-pixel z-buffer; z smaller = closer. Pixel centers at +0.5."""
     tris = faces.astype(np.int64)
     p = pts2d.astype(np.float64)
-    for fi in range(tris.shape[0]):
-        ia, ib, ic = tris[fi]
-        a, b, c = p[ia], p[ib], p[ic]
-        denom = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if front_facing_only and denom >= 0:
-            continue
-        if abs(denom) < 1e-12:
-            continue
-        x0 = max(int(np.floor(min(a[0], b[0], c[0]) - 0.5)), 0)
-        x1 = min(int(np.ceil(max(a[0], b[0], c[0]) + 0.5)), width - 1)
-        y0 = max(int(np.floor(min(a[1], b[1], c[1]) - 0.5)), 0)
-        y1 = min(int(np.ceil(max(a[1], b[1], c[1]) + 0.5)), height - 1)
-        if x1 < x0 or y1 < y0:
-            continue
-        xs = np.arange(x0, x1 + 1) + 0.5
-        ys = np.arange(y0, y1 + 1) + 0.5
-        gx, gy = np.meshgrid(xs, ys)
-        w0 = ((b[0] - gx) * (c[1] - gy) - (b[1] - gy) * (c[0] - gx)) / denom
-        w1 = ((c[0] - gx) * (a[1] - gy) - (c[1] - gy) * (a[0] - gx)) / denom
-        w2 = 1.0 - w0 - w1
-        inside = (w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9)
-        if not inside.any():
-            continue
-        zi = w0 * z[ia] + w1 * z[ib] + w2 * z[ic]
-        sub_z = zbuf[y0 : y1 + 1, x0 : x1 + 1]
-        closer = inside & (zi < sub_z)
-        sub_z[closer] = zi[closer]
-        fbuf[y0 : y1 + 1, x0 : x1 + 1][closer] = fi
-        wsub = wbuf[y0 : y1 + 1, x0 : x1 + 1]
-        wsub[closer] = np.stack([w0[closer], w1[closer], w2[closer]], axis=-1)
+    z = z.astype(np.float64)
+    ax, ay = p[tris[:, 0], 0], p[tris[:, 0], 1]
+    bx, by = p[tris[:, 1], 0], p[tris[:, 1], 1]
+    cx, cy = p[tris[:, 2], 0], p[tris[:, 2], 1]
+    za, zb, zc = z[tris[:, 0]], z[tris[:, 1]], z[tris[:, 2]]
+    denom = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    # clipped in float before the integer cast, so far-off vertices
+    # cannot overflow it
+    x0 = np.clip(np.floor(np.minimum(np.minimum(ax, bx), cx) - 0.5), 0, width).astype(np.int64)
+    x1 = np.clip(np.ceil(np.maximum(np.maximum(ax, bx), cx) + 0.5), -1, width - 1).astype(np.int64)
+    y0 = np.clip(np.floor(np.minimum(np.minimum(ay, by), cy) - 0.5), 0, height).astype(np.int64)
+    y1 = np.clip(np.ceil(np.maximum(np.maximum(ay, by), cy) + 0.5), -1, height - 1).astype(np.int64)
+    live = np.nonzero((np.abs(denom) >= 1e-12) & (x1 >= x0) & (y1 >= y0))[0]
+    nx = (x1 - x0 + 1)[live]
+    counts = nx * (y1 - y0 + 1)[live]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if live.size else 0
 
-    rows, cols = np.nonzero(fbuf >= 0)
-    covered = fbuf[rows, cols]
+    # The (face, bbox pixel) pairs, face by face and row-major inside a
+    # bbox, are numbered 0..total-1 and evaluated _CHUNK_PAIRS at a time.
+    # Each chunk keeps its nearest pair per pixel; the chunks' winners
+    # are resolved again at the end under the same rule. The empty first
+    # entry gives a mesh with no pairs an empty cache of the same dtypes.
+    winners = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64), np.empty((3, 0)))]
+    for lo in range(0, total, _CHUNK_PAIRS):
+        hi = min(lo + _CHUNK_PAIRS, total)
+        ka = int(np.searchsorted(ends, lo, side="right"))
+        kb = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        k = np.repeat(np.arange(ka, kb), np.minimum(ends[ka:kb], hi) - np.maximum(starts[ka:kb], lo))
+        within = np.arange(lo, hi) - starts[k]
+        # within // nx in float: the quotient lies at least 0.5 / nx from
+        # an integer, so the floor is exact, and it is much faster than
+        # int64 division
+        row = np.floor((within + 0.5) / nx[k]).astype(np.int64)
+        f = live[k]
+        px = x0[f] + (within - row * nx[k])
+        py = y0[f] + row
+        gx = px + 0.5
+        gy = py + 0.5
+        fax, fay, fbx, fby, fcx, fcy, fd = ax[f], ay[f], bx[f], by[f], cx[f], cy[f], denom[f]
+        w0 = ((fbx - gx) * (fcy - gy) - (fby - gy) * (fcx - gx)) / fd
+        w1 = ((fcx - gx) * (fay - gy) - (fcy - gy) * (fax - gx)) / fd
+        w2 = 1.0 - w0 - w1
+        keep = np.nonzero((w0 >= -1e-9) & (w1 >= -1e-9) & (w2 >= -1e-9))[0]
+        fk = f[keep]
+        zi = w0[keep] * za[fk] + w1[keep] * zb[fk] + w2[keep] * zc[fk]
+        near = zi < np.inf
+        keep, zi = keep[near], zi[near]
+        pix = py[keep] * width + px[keep]
+        best = _nearest_per_pixel(pix, zi, f[keep], width * height)
+        sel = keep[best]
+        winners.append((pix[best], zi[best], f[sel], np.stack([w0[sel], w1[sel], w2[sel]])))
+
+    pix, zi, f, w = (np.concatenate(parts, axis=-1) for parts in zip(*winners))
+    best = _nearest_per_pixel(pix, zi, f, width * height)
+    slot = np.full(width * height, -1)
+    slot[pix[best]] = best
+    best = slot[slot >= 0]  # row-major pixel order
     return RasterCache(
-        pix_rows=rows,
-        pix_cols=cols,
-        vidx=tris[covered],
-        weights=wbuf[rows, cols],
+        pix_rows=pix[best] // width,
+        pix_cols=pix[best] % width,
+        vidx=tris[f[best]],
+        weights=np.ascontiguousarray(w[:, best].T),
         height=height,
         width=width,
         n_verts=pts2d.shape[0],
@@ -122,6 +183,16 @@ def map_projection(verts: np.ndarray, bounds: np.ndarray, resolution: int | tupl
     return np.stack([px, py], axis=1), w, h
 
 
+def _map_cache(verts: np.ndarray, faces: np.ndarray, side: str, resolution, bounds) -> RasterCache:
+    """Orthographic raster along +y (front) or -y (back) into map pixels."""
+    if faces.size == 0:
+        raise ValueError("mesh must be non-empty")
+    _check_finite(verts)
+    pts2d, w, h = map_projection(verts.astype(np.float64), bounds, resolution)
+    depth = -verts[:, 1] if side == "front" else verts[:, 1]
+    return _rasterize(pts2d, depth.astype(np.float64), faces, w, h)
+
+
 def rasterize_mesh_map(
     verts: np.ndarray,
     faces: np.ndarray,
@@ -138,15 +209,36 @@ def rasterize_mesh_map(
     """
     if side not in ("front", "back"):
         raise ValueError("side must be 'front' or 'back'")
-    if faces.size == 0:
-        raise ValueError("mesh must be non-empty")
     if bounds is None:
         bounds = map_bounds(verts)
-    pts2d, w, h = map_projection(verts.astype(np.float64), bounds, resolution)
-    depth = -verts[:, 1] if side == "front" else verts[:, 1]
-    cache = _rasterize(pts2d, depth.astype(np.float64), faces, w, h)
+    cache = _map_cache(verts, faces, side, resolution, bounds)
     img, mask = cache.apply(attrs)
     return img, mask, cache
+
+
+def _map_caches(verts, faces, resolution, bounds) -> tuple[RasterCache, RasterCache, np.ndarray]:
+    if bounds is None:
+        bounds = map_bounds(verts)
+    return (_map_cache(verts, faces, "front", resolution, bounds),
+            _map_cache(verts, faces, "back", resolution, bounds),
+            np.asarray(bounds, dtype=np.float32))
+
+
+def map_caches(
+    template: RiggedTemplate,
+    resolution: int | tuple[int, int] = 512,
+    bounds: np.ndarray | None = None,
+) -> tuple[RasterCache, RasterCache, np.ndarray]:
+    """Front/back canonical raster structure, precomputed once per template."""
+    return _map_caches(template.vertices, template.faces, resolution, bounds)
+
+
+def apply_map_caches(front: RasterCache, back: RasterCache, bounds: np.ndarray,
+                     attrs: np.ndarray) -> DeformationMap:
+    """Interpolate a per-vertex 3-vector field to both canonical map sides."""
+    fimg, fmask = front.apply(attrs)
+    bimg, bmask = back.apply(attrs)
+    return DeformationMap(front=fimg, back=bimg, front_mask=fmask, back_mask=bmask, bounds=bounds)
 
 
 def deformation_maps(
@@ -164,27 +256,7 @@ def deformation_maps(
         verts = template_or_verts
         if faces is None:
             raise ValueError("faces required when passing raw vertices")
-    if bounds is None:
-        bounds = map_bounds(verts)
-    front, fmask, _ = rasterize_mesh_map(verts, faces, attrs, "front", resolution, bounds)
-    back, bmask, _ = rasterize_mesh_map(verts, faces, attrs, "back", resolution, bounds)
-    return DeformationMap(front=front, back=back, front_mask=fmask, back_mask=bmask,
-                          bounds=np.asarray(bounds, dtype=np.float32))
-
-
-def map_caches(
-    template: RiggedTemplate,
-    resolution: int | tuple[int, int] = 512,
-    bounds: np.ndarray | None = None,
-) -> tuple[RasterCache, RasterCache, np.ndarray]:
-    """Front/back canonical raster structure, precomputed once per template."""
-    verts = template.vertices
-    if bounds is None:
-        bounds = map_bounds(verts)
-    pts2d, w, h = map_projection(verts.astype(np.float64), bounds, resolution)
-    front = _rasterize(pts2d, (-verts[:, 1]).astype(np.float64), template.faces, w, h)
-    back = _rasterize(pts2d, verts[:, 1].astype(np.float64), template.faces, w, h)
-    return front, back, np.asarray(bounds, dtype=np.float32)
+    return apply_map_caches(*_map_caches(verts, faces, resolution, bounds), attrs)
 
 
 def rasterize_mesh_camera(
@@ -195,6 +267,7 @@ def rasterize_mesh_camera(
 ) -> tuple[np.ndarray, np.ndarray, RasterCache]:
     """Mesh attribute render under a scene camera (z-buffered)."""
     camera.validate()
+    _check_finite(verts)
     W, H = camera.resolution
     Rc = camera.extrinsic[:3, :3].astype(np.float64)
     tc = camera.extrinsic[:3, 3].astype(np.float64)

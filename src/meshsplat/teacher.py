@@ -124,15 +124,16 @@ def procedural_teacher(
 ) -> TeacherSource:
     """Analytic teacher over a motion sequence.
 
-    Per frame: the field's canonical deltas rasterized to front/back maps
-    plus color/normal/mask pseudo-GT rendered with the current texture.
+    Per frame: the field's canonical deltas interpolated to front/back
+    maps through one raster of the canonical template, plus
+    color/normal/mask pseudo-GT rendered with the current texture.
     """
     f = make_field(template, field, amplitude, seed)
-    bounds = splat.map_bounds(template.vertices)
+    front_cache, back_cache, bounds = splat.map_caches(template, map_resolution)
     frames = []
     for t, frame in enumerate(sequence.frames):
         delta = f(frame.theta)
-        dmap = splat.deformation_maps(template, delta, resolution=map_resolution, bounds=bounds)
+        dmap = splat.apply_map_caches(front_cache, back_cache, bounds, delta)
         res = deform.animate_frame(
             template, texture, None, frame, sequence.camera_for(t),
             channels=("color", "alpha", "normal"),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..assets import Camera, DeformationMap, look_at, perspective_camera
+from ..assets import Camera, look_at, perspective_camera
 from ..splat import backproject_mean_grads, composite, composite_backward, meshraster, project_gaussians
 from . import losses, ops
 from .engine import Tensor, mlp_apply
@@ -120,17 +120,12 @@ def check_nonrigid(seed: int = 5) -> GradReport:
             faces.append([a, a + 1, a + side])
             faces.append([a + 1, a + side + 1, a + side])
     faces = np.asarray(faces, dtype=np.uint32)
-    bounds = meshraster.map_bounds(verts)
-    pts2d, w, h = meshraster.map_projection(verts, bounds, 16)
-    front = meshraster._rasterize(pts2d, -verts[:, 1], faces, w, h)
-    back = meshraster._rasterize(pts2d, verts[:, 1], faces, w, h)
+    front, back, bounds = meshraster._map_caches(verts, faces, 16, None)
     delta = rng.normal(scale=0.01, size=(side * side, 3))
     # keep |student - teacher| well above the FD step so the L1 kink
     # never sits inside the central-difference interval
     teacher_delta = delta + 0.05 + rng.normal(scale=0.005, size=delta.shape)
-    tf, tfm = front.apply(teacher_delta)
-    tb, tbm = back.apply(teacher_delta)
-    dmap = DeformationMap(front=tf, back=tb, front_mask=tfm, back_mask=tbm, bounds=bounds)
+    dmap = meshraster.apply_map_caches(front, back, bounds, teacher_delta)
 
     def build(ts):
         mf = ops.mesh_map_apply(ts[0], front)

@@ -3,11 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from meshsplat import assets, splat
+from meshsplat import assets, skinning, splat
 from meshsplat.gstexture import WorldGaussians
 from meshsplat.rotations import axis_angle_to_quat, quat_to_matrix
+from meshsplat.splat import meshraster
 
-from oracles import brute_force_composite
+from oracles import brute_force_composite, reference_raster_backward, reference_rasterize
 
 
 def _random_cloud(rng, n, spread=0.8, scale_range=(0.02, 0.15)):
@@ -324,6 +325,114 @@ def test_mesh_camera_raster_zbuffer():
     img, mask, _ = splat.rasterize_mesh_camera(verts, faces, attrs, cam)
     assert mask[24, 24]
     assert np.abs(img[24, 24] - np.array([0, 1, 0])).max() < 1e-6
+
+
+def _assert_same_cache(got, want):
+    for field in ("pix_rows", "pix_cols", "vidx", "weights"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert (got.height, got.width, got.n_verts) == (want.height, want.width, want.n_verts)
+
+
+def _with_reference(monkeypatch, fn, *args):
+    """``fn(*args)`` with the package rasterizer, then with the reference."""
+    got = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(meshraster, "_rasterize", reference_rasterize)
+        want = fn(*args)
+    return got, want
+
+
+@pytest.mark.parametrize("rig_name", ["rig", "clothed_rig"])
+@pytest.mark.parametrize("res", [32, 96])
+def test_rasterize_matches_reference_on_maps(request, monkeypatch, rig_name, res):
+    template = request.getfixturevalue(rig_name)
+    got, want = _with_reference(monkeypatch, splat.map_caches, template, res)
+    _assert_same_cache(got[0], want[0])
+    _assert_same_cache(got[1], want[1])
+    assert got[0].pix_rows.size > 0
+
+
+def test_rasterize_matches_reference_under_perspective(monkeypatch, clothed_rig, motion):
+    frame = motion.frames[3]
+    verts = skinning.lbs_forward(clothed_rig, skinning.pose_skeleton(clothed_rig, frame))
+    # the eye sits inside the body, so some faces are behind the near plane
+    center = verts.mean(axis=0)
+    eye = center + np.array([0.0, 0.3 * np.ptp(verts[:, 1]), 0.0])
+    cam = assets.perspective_camera(eye, center, (80, 64), focal_px=60.0, near=0.05, far=20.0)
+    z = (verts.astype(np.float64) @ cam.extrinsic[:3, :3].T.astype(np.float64)
+         + cam.extrinsic[:3, 3])[:, 2]
+    behind = (z <= cam.near)[clothed_rig.faces.astype(np.int64)].any(axis=1)
+    assert 0 < behind.sum() < behind.size
+    (_, _, got), (_, _, want) = _with_reference(
+        monkeypatch, splat.rasterize_mesh_camera, verts, clothed_rig.faces, verts, cam)
+    _assert_same_cache(got, want)
+    assert got.pix_rows.size > 0
+
+
+def _crafted_mesh():
+    """Two coplanar overlapping triangles at depth 0 (exact ties), a
+    zero-area one, triangles partly and wholly off-screen, one with
+    far-off vertices, and a nearer one over the tied pair."""
+    pts = np.array([
+        [2.0, 2.0], [14.0, 3.0], [5.0, 13.0],         # 0: tie with 1
+        [4.0, 1.5], [15.0, 9.0], [3.0, 12.0],         # 1: same plane, overlaps 0
+        [1.0, 1.0], [8.0, 8.0], [15.0, 15.0],         # 2: collinear, zero area
+        [-6.0, 10.0], [6.0, 11.0], [-2.0, 20.0],      # 3: partly off-screen
+        [30.0, 30.0], [40.0, 31.0], [35.0, 45.0],     # 4: wholly off-screen
+        [-1e30, 4.0], [1e30, 5.0], [0.0, 1e30],       # 5: far-off vertices
+        [3.0, 6.0], [12.0, 7.0], [6.0, 9.5],          # 6: nearer than 0 and 1
+    ])
+    z = np.zeros(len(pts))
+    z[18:21] = -1.0
+    faces = np.arange(len(pts)).reshape(-1, 3)
+    return pts, z, faces
+
+
+def test_rasterize_matches_reference_on_crafted_mesh():
+    pts, z, faces = _crafted_mesh()
+    got = meshraster._rasterize(pts, z, faces, 16, 16)
+    _assert_same_cache(got, reference_rasterize(pts, z, faces, 16, 16))
+    face = got.vidx[:, 0] // 3
+    assert 2 not in face and 4 not in face
+    assert {0, 1, 3, 6} <= set(face.tolist())
+    # where faces 0 and 1 tie, the lower index wins
+    only0 = meshraster._rasterize(pts, z, faces[:1], 16, 16)
+    only1 = meshraster._rasterize(pts, z, faces[1:2], 16, 16)
+    both = set(zip(only0.pix_rows, only0.pix_cols)) & set(zip(only1.pix_rows, only1.pix_cols))
+    tied = [i for i, px in enumerate(zip(got.pix_rows, got.pix_cols)) if px in both and face[i] != 6]
+    assert tied and all(face[i] == 0 for i in tied)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_rasterize_chunk_winners_merge(monkeypatch, clothed_rig, chunk):
+    verts = clothed_rig.vertices.astype(np.float64)
+    map_pts, w, h = meshraster.map_projection(verts, splat.map_bounds(verts), 32)
+    cases = [_crafted_mesh() + (16, 16), (map_pts, -verts[:, 1], clothed_rig.faces, w, h)]
+    monkeypatch.setattr(meshraster, "_CHUNK_PAIRS", chunk)
+    for args in cases:
+        _assert_same_cache(meshraster._rasterize(*args), reference_rasterize(*args))
+
+
+def test_raster_backward_matches_add_at_reference(clothed_rig):
+    front, back, _ = splat.map_caches(clothed_rig, 48)
+    d_img = np.random.default_rng(8).normal(size=(48, 48, 3)).astype(np.float32)
+    for cache in (front, back):
+        got = cache.backward(d_img)
+        want = reference_raster_backward(cache, d_img)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_mesh_raster_rejects_non_finite_vertices(clothed_rig):
+    verts = clothed_rig.vertices.copy()
+    verts[[5, 40]] = (np.nan, 0.0, np.inf)
+    cam = _front_camera(res=(16, 16))
+    with pytest.raises(assets.ValidationError, match=r"non-finite vertex at indices \[5, 40\]"):
+        splat.rasterize_mesh_camera(verts, clothed_rig.faces, verts, cam)
+    bounds = splat.map_bounds(clothed_rig.vertices)
+    with pytest.raises(assets.ValidationError, match=r"non-finite vertex at indices \[5, 40\]"):
+        splat.rasterize_mesh_map(verts, clothed_rig.faces, verts, "front", 16, bounds)
 
 
 # ---------------------------------------------------------------------------

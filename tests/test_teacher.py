@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshsplat import assets, teacher, train
+from meshsplat import assets, splat, teacher, train
 
 
 def test_field_none_zero_maps(clothed_rig, clothed_texture, motion):
@@ -19,6 +19,17 @@ def test_sway_amplitude_doubles_maps(clothed_rig, clothed_texture, motion):
                                    field="sway", amplitude=0.10, seed=4, map_resolution=48)
     for fa, fb in zip(a.frames, b.frames):
         assert abs(np.abs(fb.dmap.front).max() - 2.0 * np.abs(fa.dmap.front).max()) < 1e-5
+
+
+def test_teacher_maps_match_deformation_maps(clothed_rig, clothed_texture, motion):
+    src = teacher.procedural_teacher(clothed_rig, clothed_texture, motion,
+                                     field="sway", amplitude=0.1, seed=4, map_resolution=40)
+    f = teacher.make_field(clothed_rig, "sway", 0.1, seed=4)
+    for frame, tf in zip(motion.frames, src.frames):
+        want = splat.deformation_maps(clothed_rig, f(frame.theta), resolution=40)
+        for name in ("front", "back", "front_mask", "back_mask", "bounds"):
+            a, b = getattr(tf.dmap, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_sway_leaves_body_untouched(clothed_rig, motion):
