@@ -357,9 +357,9 @@ def cmd_bench(args) -> int:
         idx = np.nonzero(proj.visible)[0]
         key = order_key(proj.depth[idx], cam)
         t1 = time.perf_counter()
-        composite(proj.means2d[idx], proj.conic[idx], wg.opacity[idx],
-                  np.ascontiguousarray(wg.color[idx]), key, proj.radius[idx],
-                  w, h, threads=args.threads)
+        image, _ = composite(proj.means2d[idx], proj.conic[idx], wg.opacity[idx],
+                             np.ascontiguousarray(wg.color[idx]), key, proj.radius[idx],
+                             w, h, threads=args.threads)
         t2 = time.perf_counter()
         bin_gaussians(proj.means2d[idx], proj.radius[idx], key, w, h)
         stage["project"] += t1 - t0
@@ -367,12 +367,18 @@ def cmd_bench(args) -> int:
         stage["bin"] += time.perf_counter() - t2
     total = stage["project"] + stage["composite"]
     fps = args.frames / total
+    # share of covered pixels whose transmittance fell below 1e-4, the
+    # early-stop threshold of 3DGS; the compositor stops them at STOP_BOUND
+    alpha = image[..., -1].astype(np.float32)
+    covered = int((alpha > 0).sum())
+    saturated = int((alpha >= np.float32(1.0 - 1e-4)).sum())
     print(_summary(
         status="ok", cmd="bench", gaussians=n, res=args.res, frames=args.frames,
         fps=fps, total_ms=total / args.frames * 1000.0,
         project_ms=stage["project"] / args.frames * 1000.0,
         bin_ms=stage["bin"] / args.frames * 1000.0,
         composite_ms=stage["composite"] / args.frames * 1000.0,
+        saturated_px_frac=saturated / covered if covered else 0.0,
         threads=args.threads, seed=args.seed,
     ))
     return EXIT_OK

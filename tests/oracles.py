@@ -1,12 +1,16 @@
 """Independent reference implementations the package code never touches.
 
 The brute-force compositor loops per pixel over a global depth sort with
-no tiling or binning; the SH table spells out the real basis polynomials
-with their normalization constants in closed form; the mesh rasterizer
-reference fills a z-buffer one triangle at a time.
+no tiling or binning; the dense tile compositor evaluates every pixel
+of a tile against its whole depth list, with no early stop; the SH table
+spells out the real basis polynomials with their normalization constants
+in closed form; the mesh rasterizer reference fills a z-buffer one
+triangle at a time.
 """
 
 import numpy as np
+
+from meshsplat.splat.tiles import TILE, _tile_pixel_centers, _weights, bin_gaussians
 
 CUTOFF = 9.0
 W_MAX = 0.999
@@ -34,6 +38,73 @@ def brute_force_composite(means2d, conic, opacity, values, depth, width, height)
                 trans *= 1.0 - w
             out[row, col] = acc
     return out
+
+
+def reference_composite(means2d, conic, opacity, values, depth, radius, width, height):
+    """Dense tile compositor: one [n, px] weight block and one running
+    product per tile over its whole depth list. Returns ([H, W, C+1] in
+    float64, cache of (x0, y0, ids, w) per tile)."""
+    n_values = values.shape[1]
+    out = np.zeros((height, width, n_values + 1))
+    tile_of, gauss_of = bin_gaussians(means2d, radius, depth, width, height)
+    ntx = (width + TILE - 1) // TILE
+    val64 = values.astype(np.float64)
+    cache = []
+    for t in np.unique(tile_of):
+        ids = gauss_of[tile_of == t]
+        ty, tx = divmod(int(t), ntx)
+        px, w_px, h_px = _tile_pixel_centers(tx * TILE, ty * TILE, width, height)
+        w = _weights(means2d[ids].astype(np.float64), conic[ids].astype(np.float64),
+                     opacity[ids].astype(np.float64), px)
+        trans = np.cumprod(1.0 - w, axis=0)
+        t_excl = np.empty_like(trans)
+        t_excl[0] = 1.0
+        t_excl[1:] = trans[:-1]
+        contrib = w * t_excl
+        block = np.concatenate([val64[ids].T @ contrib, contrib.sum(axis=0)[None]], axis=0)
+        out[ty * TILE : ty * TILE + h_px, tx * TILE : tx * TILE + w_px] = (
+            block.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0))
+        cache.append((tx * TILE, ty * TILE, ids, w))
+    return out, cache
+
+
+def reference_composite_backward(cache, means2d, conic, opacity, values, d_out):
+    """Gradients of the dense compositor (values, alpha value, opacity, 2D
+    means), recomputing each tile's running product from its weights."""
+    height, width = d_out.shape[:2]
+    n = values.shape[0]
+    d_values = np.zeros((n, values.shape[1] + 1))
+    d_opacity = np.zeros(n)
+    d_means = np.zeros((n, 2))
+    means64 = means2d.astype(np.float64)
+    conic64 = conic.astype(np.float64)
+    op64 = np.maximum(opacity.astype(np.float64), 1e-12)
+    val_ext = np.concatenate([values.astype(np.float64), np.ones((n, 1))], axis=1)
+    for (x0, y0, ids, w) in cache:
+        px, w_px, h_px = _tile_pixel_centers(x0, y0, width, height)
+        g_tile = d_out[y0 : y0 + h_px, x0 : x0 + w_px].astype(np.float64).transpose(2, 0, 1)
+        g_tile = g_tile.reshape(d_out.shape[2], -1)
+        trans = np.cumprod(1.0 - w, axis=0)
+        t_excl = np.empty_like(trans)
+        t_excl[0] = 1.0
+        t_excl[1:] = trans[:-1]
+        contrib = w * t_excl
+        d_values[ids] += contrib @ g_tile.T
+        p = val_ext[ids] @ g_tile
+        m = contrib * p
+        s = np.flip(np.cumsum(np.flip(m, axis=0), axis=0), axis=0) - m
+        d_w = p * t_excl - s / (1.0 - w)
+        d_w[w >= W_MAX] = 0.0
+        d_w[w == 0.0] = 0.0
+        d_opacity[ids] += (d_w * (w / op64[ids][:, None])).sum(axis=1)
+        dx = px[0][None, :] - means64[ids, 0:1]
+        dy = px[1][None, :] - means64[ids, 1:2]
+        gx = conic64[ids, 0:1] * dx + conic64[ids, 1:2] * dy
+        gy = conic64[ids, 1:2] * dx + conic64[ids, 2:3] * dy
+        dww = d_w * w
+        d_means[ids, 0] += (dww * gx).sum(axis=1)
+        d_means[ids, 1] += (dww * gy).sum(axis=1)
+    return d_values[:, :-1], d_values[:, -1], d_opacity, d_means
 
 
 # real spherical harmonics with closed-form normalizations

@@ -95,6 +95,11 @@ def test_bench_summary_fields(capsys):
     line = capsys.readouterr().out.strip()
     for key in ("fps=", "project_ms=", "bin_ms=", "composite_ms=", "gaussians=500"):
         assert key in line
+    fields = dict(kv.split("=", 1) for kv in line.split())
+    assert float(fields["saturated_px_frac"]) == 0.0  # 500 Gaussians cover no pixel opaquely
+    assert run(["bench", "--gaussians", "5000", "--res", "64x64", "--frames", "1"]) == 0
+    fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+    assert 0.0 < float(fields["saturated_px_frac"]) < 0.01
 
 
 def test_bake_finetune_quantize_flow(workdir, capsys, tmp_path):

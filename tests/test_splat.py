@@ -1,14 +1,21 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from meshsplat import assets, skinning, splat
-from meshsplat.gstexture import WorldGaussians
+from meshsplat.gstexture import WorldGaussians, local_to_world
 from meshsplat.rotations import axis_angle_to_quat, quat_to_matrix
-from meshsplat.splat import meshraster
+from meshsplat.splat import meshraster, tiles
 
-from oracles import brute_force_composite, reference_raster_backward, reference_rasterize
+from oracles import (
+    brute_force_composite,
+    reference_composite,
+    reference_composite_backward,
+    reference_raster_backward,
+    reference_rasterize,
+)
 
 
 def _random_cloud(rng, n, spread=0.8, scale_range=(0.02, 0.15)):
@@ -102,16 +109,18 @@ def test_alpha_bounded_everywhere():
     assert t.alpha.max() <= 1.0 + 1e-6
 
 
-def test_opaque_shell_saturates_silhouette(clothed_rig, clothed_texture):
-    import dataclasses
-
-    from meshsplat.gstexture import local_to_world
-
-    tex = dataclasses.replace(clothed_texture, opacity_logit=np.full(
-        clothed_texture.num_gaussians, 8.0, dtype=np.float32))
-    wg = local_to_world(tex, clothed_rig.vertices, clothed_rig.faces, view_origin=(0.0, 3.0, 0.85))
+def _opaque_shell(rig, texture):
+    """The clothed rig's Gaussians at opacity sigmoid(8), seen from the
+    front: most covered pixels saturate."""
+    tex = dataclasses.replace(texture, opacity_logit=np.full(texture.num_gaussians, 8.0, dtype=np.float32))
+    wg = local_to_world(tex, rig.vertices, rig.faces, view_origin=(0.0, 3.0, 0.85))
     cam = assets.perspective_camera((0.0, 3.0, 0.85), (0.0, 0.0, 0.85), (96, 96),
                                     focal_px=120.0, near=0.1, far=20.0)
+    return wg, cam
+
+
+def test_opaque_shell_saturates_silhouette(clothed_rig, clothed_texture):
+    wg, cam = _opaque_shell(clothed_rig, clothed_texture)
     t = splat.render(wg, cam)
     # interior of the silhouette: a vertical band through the torso
     band = t.alpha[40:56, 46:50]
@@ -136,6 +145,170 @@ def test_depth_channel_orders_contributions():
     center_depth = t.depth[16, 16] / t.alpha[16, 16]
     assert abs(center_depth - 2.0) < 0.15
     assert t.color[16, 16, 0] > t.color[16, 16, 1]
+
+
+# ---------------------------------------------------------------------------
+# the early stop: the chunked compositor against the dense reference
+
+
+SHELL_CHANNELS = ("color", "normal", "depth", "alpha")
+
+
+def _composite_args(wg, cam):
+    """``composite``'s arguments as ``render`` builds them for the color,
+    normal and depth channels of the visible Gaussians."""
+    proj = splat.project_gaussians(wg.means, wg.rot_mats, wg.scales, cam)
+    idx = np.nonzero(proj.visible)[0]
+    values = np.concatenate([wg.color[idx], wg.normal[idx],
+                             proj.depth[idx, None].astype(np.float32)], axis=1)
+    return (proj.means2d[idx], proj.conic[idx], wg.opacity[idx], values,
+            splat.order_key(proj.depth[idx], cam), proj.radius[idx], *cam.resolution)
+
+
+def _image(target):
+    return np.concatenate([target.color, target.normal, target.depth[..., None],
+                           target.alpha[..., None]], axis=2).astype(np.float64)
+
+
+def _count_weight_evals(monkeypatch):
+    """Patch ``tiles._weights`` to count the (Gaussian, pixel) entries it
+    evaluates; returns the running count in a one-element list."""
+    count, weights = [0], tiles._weights
+
+    def counted(means2d, conic, opacity, px):
+        count[0] += means2d.shape[0] * px.shape[1]
+        return weights(means2d, conic, opacity, px)
+
+    monkeypatch.setattr(tiles, "_weights", counted)
+    return count
+
+
+def _dense_evals(args):
+    """(pair, tile pixel) entries the dense compositor evaluates on an
+    image of whole tiles."""
+    means2d, _, _, _, depth, radius, width, height = args
+    assert width % tiles.TILE == 0 and height % tiles.TILE == 0
+    return tiles.bin_gaussians(means2d, radius, depth, width, height)[0].size * tiles.TILE ** 2
+
+
+def _output_rounding(ref, dtype):
+    """Half an ulp of each reference value in the output dtype."""
+    return np.spacing(np.abs(ref).astype(dtype)).astype(np.float64) / 2
+
+
+@pytest.mark.parametrize("chunk", [tiles.CHUNK, 16])
+def test_early_stop_stays_within_bound_on_saturating_shell(monkeypatch, clothed_rig,
+                                                           clothed_texture, chunk):
+    monkeypatch.setattr(tiles, "CHUNK", chunk)
+    wg, cam = _opaque_shell(clothed_rig, clothed_texture)
+    args = _composite_args(wg, cam)
+    ref, _ = reference_composite(*args)
+    v_max = max(1.0, np.abs(args[3]).max())
+    covered = ref[..., -1] > 0
+    assert ((1.0 - ref[covered, -1]) * v_max <= tiles.STOP_BOUND).mean() > 0.3
+
+    evals = _count_weight_evals(monkeypatch)
+    target = splat.render(wg, cam, channels=SHELL_CHANNELS)
+    got = _image(target)
+    assert 0 < evals[0] < _dense_evals(args), "no pixel stopped early"
+    # every channel within STOP_BOUND, whatever its scale (depth is near 3)
+    slack = tiles.STOP_BOUND + _output_rounding(ref, target.color.dtype) + 1e-12
+    assert (np.abs(got - ref) <= slack).all(), np.abs(got - ref).max()
+
+    # sampled tiles against the per-pixel brute force, which shares no code
+    # with the package: shift the means so the tile is a 16x16 image
+    # (only Gaussians whose footprint radius reaches the tile go in)
+    means2d, conic, opacity, values, key, radius = args[:6]
+    stopped = ((1.0 - ref[..., -1]) * v_max <= tiles.STOP_BOUND).reshape(6, 16, 6, 16).any(axis=(1, 3))
+    rng = np.random.default_rng(10)
+    for ty, tx in rng.permutation(np.argwhere(stopped))[:3]:
+        x0, y0 = 16 * tx, 16 * ty
+        near = np.abs(means2d - (x0 + 8, y0 + 8)).max(axis=1) <= radius + 9
+        want = brute_force_composite(means2d[near] - (x0, y0), conic[near],
+                                     opacity[near].astype(np.float64),
+                                     values[near].astype(np.float64), key[near], 16, 16)
+        tile = got[y0:y0 + 16, x0:x0 + 16]
+        assert (np.abs(tile - want) <= slack[y0:y0 + 16, x0:x0 + 16]).all()
+
+
+@pytest.mark.parametrize("chunk", [tiles.CHUNK, 1, 7])
+def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, chunk):
+    monkeypatch.setattr(tiles, "CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    wg = _random_cloud(rng, 80)
+    cam = _front_camera(res=(96, 80))
+    args = _composite_args(wg, cam)
+    evals = _count_weight_evals(monkeypatch)
+    got, cache = splat.composite(*args, keep_cache=True)
+    ref, ref_cache = reference_composite(*args)
+    v_max = max(1.0, np.abs(args[3]).max())
+    assert ((1.0 - ref[..., -1]) * v_max).min() > tiles.STOP_BOUND
+    assert evals[0] == _dense_evals(args)
+    # equal up to the order of float64 summation across chunks
+    assert np.abs(got - ref).max() <= 1e-12
+
+    g = rng.normal(size=got.shape)
+    grads = splat.composite_backward(cache, *args[:4], g)
+    want = reference_composite_backward(ref_cache, *args[:4], g)
+    for a, b in zip(grads, want):
+        assert np.abs(b).max() > 0
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture):
+    """The backward is the exact gradient of the truncated forward; it
+    differs from the dense gradient only by the pairs behind each pixel's
+    stop. With B = STOP_BOUND, V = max(1, max|v|), G = max|g|, C channels:
+
+    - a stopped pixel has T_p <= B / V, and the dropped pairs' contributions
+      c_jp = w_jp T_jp sum to at most T_p;
+    - P_jp = sum_c v_jc g_cp + g_alpha,p has |P_jp| <= (C + 1) V G, so the
+      dropped tail R_p = sum_j c_jp P_jp has |R_p| <= (C + 1) B G;
+    - a value (or alpha value) gradient gains c_jp g_cp <= B G per dropped
+      pair;
+    - a kept pair's dL/dw = P T - S / (1 - w) changes only through the
+      suffix S, by R_p; unclamped weights have 1 - w > 1 - W_MAX, so by at
+      most (C + 1) B G / (1 - W_MAX). A dropped pair's whole dL/dw is
+      bounded by |P T| + |S| / (1 - w) <= (C + 1) B G (1 + 1 / (1 - W_MAX)),
+      which covers both: call it D;
+    - the opacity gradient sums dL/dw * w / opacity = dL/dw * exp(power),
+      with exp(power) <= 1; the mean gradient sums dL/dw * w * Q d, with
+      w < 1 and |Q d| <= 3 sqrt(lambda_max(Q)) inside the 3-sigma cutoff.
+
+    Summed over the n_i pixels of a Gaussian's tiles, the bounds are
+    n_i B G (values), n_i D (opacity) and 3 sqrt(lambda_max) n_i D (means).
+    """
+    wg, cam = _opaque_shell(clothed_rig, clothed_texture)
+    args = _composite_args(wg, cam)
+    means2d, conic, opacity, values, key, radius, width, height = args
+    out, cache = splat.composite(*args, keep_cache=True)
+    _, ref_cache = reference_composite(*args)
+    g = np.random.default_rng(12).normal(size=out.shape)
+    got = splat.composite_backward(cache, *args[:4], g)
+    want = reference_composite_backward(ref_cache, *args[:4], g)
+
+    B, G, C = tiles.STOP_BOUND, np.abs(g).max(), values.shape[1]
+    D = (C + 1) * B * G * (1.0 + 1.0 / (1.0 - tiles.W_MAX))
+    _, gauss_of = tiles.bin_gaussians(means2d, radius, key, width, height)
+    n_px = tiles.TILE ** 2 * np.bincount(gauss_of, minlength=len(values))  # 96 px: whole tiles
+    a, b, c = conic[:, 0], conic[:, 1], conic[:, 2]
+    lam_max = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b)
+    bounds = (n_px[:, None] * B * G, n_px * B * G, n_px * D, (3.0 * np.sqrt(lam_max) * n_px * D)[:, None])
+    for got_i, want_i, bound in zip(got, want, bounds):
+        rounding = 1e-12 * np.abs(want_i).max()
+        assert (np.abs(got_i - want_i) <= bound + rounding).all()
+    assert any(not np.array_equal(x, y) for x, y in zip(got, want)), "no pair was dropped"
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_gradient_checks_pass_across_chunks(monkeypatch, chunk):
+    from meshsplat.train import preflight
+
+    monkeypatch.setattr(tiles, "CHUNK", chunk)
+    for check in (preflight.check_splat, preflight.check_splat_render):
+        report = check()
+        assert report.ok, report.summary()
+        assert report.tol == preflight.TOL_SPLAT
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +684,24 @@ def test_render_threads_match_single_thread():
     b = splat.render(wg, cam, channels=("color", "alpha"), threads=4)
     assert np.array_equal(a.color, b.color)
     assert np.array_equal(a.alpha, b.alpha)
+
+
+def test_threads_match_single_thread_where_pixels_stop(clothed_rig, clothed_texture):
+    from meshsplat.train import engine, ops
+
+    wg, cam = _opaque_shell(clothed_rig, clothed_texture)
+    images, grads = [], []
+    g = np.random.default_rng(13).normal(size=(96, 96, 4))
+    for threads in (1, 2, 4):
+        images.append(_image(splat.render(wg, cam, channels=SHELL_CHANNELS, threads=threads)))
+        params = [engine.Tensor(x.astype(np.float64), requires_grad=True)
+                  for x in (wg.means, wg.color, wg.opacity)]
+        img = ops.splat_render(*params, cam, wg.rot_mats, wg.scales, threads=threads)
+        (img * engine.constant(g)).sum().backward()
+        grads.append([p.grad for p in params])
+    for image, grad in zip(images[1:], grads[1:]):
+        assert image.tobytes() == images[0].tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grad, grads[0]))
 
 
 def test_render_deterministic():
