@@ -57,54 +57,43 @@ def _parse_res(text: str) -> tuple[int, int]:
         raise ValidationError(f"resolution must look like 512x512, got '{text}'") from e
 
 
-def _weights_from_args(args) -> "train_mod.LossWeights":
+def _train_config(args, weights, **bake_only) -> "train_mod.TrainConfig":
     from . import train as train_mod
 
-    w = train_mod.LossWeights(
-        ssim=args.lambda_ssim,
-        lpips=args.lambda_lpips,
-        nor=args.lambda_nor,
-        non=args.lambda_non,
-        sem=args.lambda_sem,
-    )
-    w.validate()
-    if w.lpips != 0.0:
+    if args.lambda_lpips != 0.0:
         print("note: the perceptual term has no backing network; lambda-lpips is forced to 0", file=sys.stderr)
-    return w
-
-
-def _train_config(args) -> "train_mod.TrainConfig":
-    from . import train as train_mod
-
     return train_mod.TrainConfig(
         iterations=args.iterations,
         batch_size=args.batch_size,
-        seed=args.seed,
         map_resolution=args.map_res,
-        tau=args.tau,
-        weights=_weights_from_args(args),
+        weights=weights,
         threads=args.threads,
-        log_every=args.log_every,
-        freeze_embeddings=getattr(args, "freeze_embeddings", False),
+        **bake_only,
     )
 
 
 def _add_train_flags(p):
+    """Flags that both training stages read."""
     p.add_argument("--iterations", type=int, default=2000, help="optimizer steps")
     p.add_argument("--batch-size", type=int, default=1, help="frames per step")
     p.add_argument("--map-res", type=int, default=128, help="deformation map resolution (px)")
-    p.add_argument("--tau", type=float, default=25.0, help="semantic sine scale (1/m)")
     p.add_argument("--lambda-ssim", type=float, default=0.2, help="D-SSIM weight")
     p.add_argument("--lambda-lpips", type=float, default=0.0, help="kept for config fidelity; forced 0")
+    p.add_argument("--log", help="write per-iteration loss records to this file")
+    p.add_argument("--skip-preflight", action="store_true",
+                   help="skip the fast gradient checks that gate training")
+    p.add_argument("--threads", type=int, default=1, help="render threads (0 = all cores; same bits for any count)")
+
+
+def _add_bake_flags(p):
+    """Flags that only bake reads: finetune neither renders semantics nor
+    optimizes the normal, map or embedding terms."""
+    p.add_argument("--tau", type=float, default=25.0, help="semantic sine scale (1/m)")
     p.add_argument("--lambda-nor", type=float, default=0.02, help="normal loss weight")
     p.add_argument("--lambda-non", type=float, default=0.1, help="non-rigid map loss weight")
     p.add_argument("--lambda-sem", type=float, default=1.0, help="semantic loss weight")
-    p.add_argument("--log-every", type=int, default=25, help="stdout cadence (iterations)")
-    p.add_argument("--log", help="write per-iteration loss records to this file")
     p.add_argument("--freeze-embeddings", action="store_true",
                    help="keep per-frame embeddings at zero (synthetic, exactly-registered poses)")
-    p.add_argument("--skip-preflight", action="store_true",
-                   help="skip the fast gradient checks that gate training")
 
 
 def _teacher_flags(p):
@@ -229,7 +218,9 @@ def cmd_bake(args) -> int:
     src = _teacher_for(args, t, tex, motion)
     bundle = deform.init_bundle(t, tex, n_frames=len(motion), seed=args.seed)
     _run_preflight_gate(args)
-    cfg = _train_config(args)
+    weights = train_mod.LossWeights(ssim=args.lambda_ssim, lpips=args.lambda_lpips, nor=args.lambda_nor,
+                                    non=args.lambda_non, sem=args.lambda_sem)
+    cfg = _train_config(args, weights, tau=args.tau, freeze_embeddings=args.freeze_embeddings)
     try:
         bundle, tex2, history = train_mod.bake(t, tex, bundle, src, motion, cfg)
     except train_mod.TrainingDiverged as e:
@@ -259,7 +250,7 @@ def cmd_finetune(args) -> int:
     motion = _motion_for(args, t)
     src = _teacher_for(args, t, tex, motion)
     _run_preflight_gate(args)
-    cfg = _train_config(args)
+    cfg = _train_config(args, train_mod.LossWeights(ssim=args.lambda_ssim))
     try:
         bundle, history = train_mod.finetune(t, tex, bundle, src.frames, motion, cfg)
     except train_mod.TrainingDiverged as e:
@@ -271,7 +262,7 @@ def cmd_finetune(args) -> int:
         train_mod.write_train_log(history, args.log)
     last = history[-1]
     print(_summary(status="ok", cmd="finetune", out=args.out, iterations=cfg.iterations,
-                   seed=args.seed, final_total=last["total"], final_l1=last["l1"]))
+                   final_total=last["total"], final_l1=last["l1"]))
     return EXIT_OK
 
 
@@ -331,12 +322,11 @@ def cmd_bench(args) -> int:
     from .rotations import axis_angle_to_quat, quat_to_matrix
 
     aa = rng.normal(size=(n, 3)) * 0.5
-    quats = axis_angle_to_quat(aa).astype(np.float32)
-    rots = quat_to_matrix(quats).astype(np.float32)
+    rots = quat_to_matrix(axis_angle_to_quat(aa).astype(np.float32)).astype(np.float32)
     scales = rng.uniform(0.004, 0.02, size=(n, 3)).astype(np.float32)
     scales[:, 0] *= 0.01
     wg = gstexture.WorldGaussians(
-        means=means, quats=quats, rot_mats=rots, scales=scales,
+        means=means, rot_mats=rots, scales=scales,
         opacity=rng.uniform(0.3, 0.95, size=n).astype(np.float32),
         color=rng.random((n, 3)).astype(np.float32),
         normal=rots[:, :, 0],
@@ -452,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     _motion_flags(p)
     _teacher_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="init + training seed")
-    p.add_argument("--threads", type=int, default=1, help="render threads (0 = all cores; same bits for any count)")
+    _add_bake_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="student initialization seed")
     p.add_argument("--out", required=True, help="output bundle path (.stu)")
     p.add_argument("--out-texture", help="output refined texture path (.gtx)")
     p.set_defaults(func=cmd_bake)
@@ -465,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     _motion_flags(p)
     _teacher_flags(p)
     _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output bundle path (.stu)")
     p.set_defaults(func=cmd_finetune)
 

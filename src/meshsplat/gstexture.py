@@ -149,8 +149,7 @@ class WorldGaussians:
     """
 
     means: np.ndarray      # [G,3]
-    quats: np.ndarray      # [G,4] unit, world rotation
-    rot_mats: np.ndarray   # [G,3,3] world rotation (cached from quats)
+    rot_mats: np.ndarray   # [G,3,3] world rotation
     scales: np.ndarray     # [G,3] meters, > 0
     opacity: np.ndarray    # [G] in (0,1)
     color: np.ndarray      # [G,3] in [0,1]
@@ -220,7 +219,6 @@ def local_to_world(
 
     return WorldGaussians(
         means=means.astype(np.float32),
-        quats=quats.astype(np.float32),
         rot_mats=rot_mats.astype(np.float32),
         scales=scales.astype(np.float32),
         opacity=opacity.astype(np.float32),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..assets import Camera, DeformationMap, RiggedTemplate, ValidationError, look_at
+from ..assets import Camera, ValidationError
 from ..gstexture import WorldGaussians
 from . import images, meshraster, projection, tiles
 from .images import read_pgm, read_ppm, write_pgm, write_png, write_ppm
@@ -186,39 +186,11 @@ def write_image(target, path, fmt: str | None = None) -> None:
         raise ValueError(f"unknown image format '{fmt}'")
 
 
-def map_camera(template: RiggedTemplate, side: str, resolution: int | tuple[int, int] = 512,
-               distance: float = 5.0) -> Camera:
-    """Orthographic camera matching the canonical front/back map framing."""
-    bounds = map_bounds(template.vertices)
-    xmin, xmax, zmin, zmax = (float(v) for v in bounds)
-    zmid = 0.5 * (zmin + zmax)
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    if side == "front":
-        eye = (0.0, distance, zmid)
-        mode = "ortho-front"
-    elif side == "back":
-        eye = (0.0, -distance, zmid)
-        mode = "ortho-back"
-    else:
-        raise ValueError("side must be 'front' or 'back'")
-    cam = Camera(
-        mode=mode,
-        resolution=resolution,
-        params=np.array([xmax - xmin, zmax - zmin, 0.0, 0.0], dtype=np.float32),
-        extrinsic=look_at(eye, (0.0, 0.0, zmid)),
-        near=0.01,
-        far=2.0 * distance,
-    )
-    cam.validate()
-    return cam
-
-
 __all__ = [
     "RenderTarget", "render", "splat_forward", "order_key", "sort_keys", "quantized_depth_keys",
     "relight", "write_image",
     "deformation_maps", "rasterize_mesh_map", "rasterize_mesh_camera", "map_bounds",
-    "map_caches", "apply_map_caches", "map_camera", "RasterCache", "Projected", "project_gaussians",
+    "map_caches", "apply_map_caches", "RasterCache", "Projected", "project_gaussians",
     "backproject_mean_grads", "camera_center", "composite", "composite_backward",
     "write_ppm", "read_ppm", "write_pgm", "read_pgm", "write_png", "TILE", "U16_BINS",
     "images", "meshraster", "projection", "tiles", "CHANNELS",

@@ -29,7 +29,8 @@ from .engine import Tensor, concat, constant, mlp_apply
 from .optim import DEFAULT_LRS, Adam
 
 SEM_ALPHA_THRESHOLD = 1e-3
-NORMAL_MASK_THRESHOLD = 0.5
+# steps between the last-good snapshots that TrainingDiverged carries
+CHECKPOINT_EVERY = 200
 
 
 @dataclass
@@ -58,18 +59,13 @@ class TrainConfig:
     # frame embeddings exist to absorb registration error; decay keeps
     # them from shortcutting pose-dependent structure the MLPs should own
     weight_decay: dict = field(default_factory=lambda: {"embeddings": 1.0})
-    seed: int = 0
     map_resolution: int = 128
     tau: float = 25.0
     weights: LossWeights = field(default_factory=LossWeights)
-    freeze_blend_shapes: bool = True     # bake stage
-    freeze_deform_field: bool = True     # finetune stage
     # embeddings absorb registration error; with exactly-registered
     # synthetic poses they only offer a memorization shortcut, so runs on
     # synthetic data may freeze them at zero
     freeze_embeddings: bool = False
-    checkpoint_every: int = 200
-    log_every: int = 25
     threads: int = 1
 
     def validate(self) -> None:
@@ -93,8 +89,17 @@ class TrainingDiverged(RuntimeError):
 
 
 def format_log_line(rec: dict) -> str:
-    keys = ["iter", "l1", "dssim", "nor", "non", "sem", "total", "wall_ms"]
-    return " ".join(f"{k}={rec[k]:.6g}" if isinstance(rec[k], float) else f"{k}={rec[k]}" for k in keys if k in rec)
+    """One ``key=value`` token per record field; a list is comma-joined,
+    so no value holds a space."""
+
+    def text(v):
+        if isinstance(v, float):
+            return f"{v:.6g}"
+        if isinstance(v, list):
+            return ",".join(map(str, v))
+        return str(v)
+
+    return " ".join(f"{k}={text(v)}" for k, v in rec.items())
 
 
 def write_train_log(history: list[dict], path) -> None:
@@ -148,6 +153,37 @@ def _flatten_nets(nets):
     return out
 
 
+def _optimize(opt: Adam, config: TrainConfig, n_frames: int, frame_loss, snapshot):
+    """The step loop both stages share. Step ``it`` sums the gradients of
+    frames ``(it * batch_size + bi) % n_frames`` and records each term
+    averaged over the batch. ``frame_loss(t)`` returns the frame's scalar
+    loss tensor and its logged terms as floats; ``snapshot()`` returns
+    ``(bundle, texture)``, and the last one taken every
+    ``CHECKPOINT_EVERY`` steps rides on ``TrainingDiverged``.
+    Returns ``(bundle, texture, history)``."""
+    history: list[dict] = []
+    last_good = snapshot()
+    for it in range(config.iterations):
+        t0 = time.perf_counter()
+        opt.zero_grad()
+        rec = {"iter": it, "l1": 0.0, "dssim": 0.0, "nor": 0.0, "non": 0.0, "sem": 0.0, "total": 0.0}
+        for bi in range(config.batch_size):
+            loss, terms = frame_loss((it * config.batch_size + bi) % n_frames)
+            total = float(loss.data)
+            if not np.isfinite(total):
+                raise TrainingDiverged(it, *last_good)
+            loss.backward()
+            for key, value in terms.items():
+                rec[key] += value / config.batch_size
+            rec["total"] += total / config.batch_size
+        opt.step()
+        rec["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+        history.append(rec)
+        if (it + 1) % CHECKPOINT_EVERY == 0:
+            last_good = snapshot()
+    return *snapshot(), history
+
+
 # ---------------------------------------------------------------------------
 # baking
 
@@ -172,7 +208,7 @@ def bake(
             f"teacher supplies {len(teacher.frames)} frames, sequence has {len(sequence)}"
         )
 
-    front_cache, back_cache, bounds = splat.map_caches(template, config.map_resolution)
+    front_cache, back_cache, _ = splat.map_caches(template, config.map_resolution)
     for t, tf in enumerate(teacher.frames):
         if tf.dmap is None:
             raise ValidationError(f"teacher frame {t} carries no deformation maps")
@@ -184,12 +220,11 @@ def bake(
     student_front_mask[front_cache.pix_rows, front_cache.pix_cols] = True
     student_back_mask = np.zeros((back_cache.height, back_cache.width), dtype=bool)
     student_back_mask[back_cache.pix_rows, back_cache.pix_cols] = True
-    mask_warnings = []
-    for t, tf in enumerate(teacher.frames):
-        d = max(losses.mask_disagreement(student_front_mask, tf.dmap.front_mask),
-                losses.mask_disagreement(student_back_mask, tf.dmap.back_mask))
-        if d > 0.2:
-            mask_warnings.append((t, d))
+    disagreeing = [
+        t for t, tf in enumerate(teacher.frames)
+        if max(losses.mask_disagreement(student_front_mask, tf.dmap.front_mask),
+               losses.mask_disagreement(student_back_mask, tf.dmap.back_mask)) > 0.2
+    ]
 
     sem_labels = ops.semantic_label(template, config.tau)
     sem_g = ops.gaussian_semantic(template, texture, config.tau)
@@ -229,96 +264,72 @@ def bake(
         )
         return b, tex
 
-    history: list[dict] = []
-    if mask_warnings:
-        history.append({"iter": -1, "warning": f"mask disagreement on {len(mask_warnings)} frames",
-                        "frames": [t for t, _ in mask_warnings]})
-    last_good = snapshot()
-    T = len(sequence)
+    def frame_loss(t):
+        frame = sequence.frames[t]
+        camera = sequence.camera_for(t)
+        tf = teacher.frames[t]
 
-    for it in range(config.iterations):
-        t0 = time.perf_counter()
-        opt.zero_grad()
-        rec = {"iter": it, "l1": 0.0, "dssim": 0.0, "nor": 0.0, "non": 0.0, "sem": 0.0, "total": 0.0}
-        for bi in range(config.batch_size):
-            t = (it * config.batch_size + bi) % T
-            frame = sequence.frames[t]
-            camera = sequence.camera_for(t)
-            tf = teacher.frames[t]
+        delta_t = student_delta_graph(params, template, bundle, frame, t)
+        # the runtime's pose and binding at the student's current
+        # deltas; blend shapes are frozen at zero in this stage
+        posed_frame = deform.pose_frame(template, texture, frame, camera, delta_t.data)
+        world = posed_frame.world
 
-            delta_t = student_delta_graph(params, template, bundle, frame, t)
-            # the runtime's pose and binding at the student's current
-            # deltas; blend shapes are frozen at zero in this stage
-            posed_frame = deform.pose_frame(template, texture, frame, camera, delta_t.data)
-            world = posed_frame.world
+        parts = {}
+        loss = None
+        if weights.non > 0:
+            map_f = ops.mesh_map_apply(delta_t, front_cache)
+            map_b = ops.mesh_map_apply(delta_t, back_cache)
+            l_non = losses.loss_nonrigid(map_f, map_b, tf.dmap)
+            parts["non"] = l_non
+            loss = l_non * weights.non
 
-            parts = {}
-            loss = None
-            if weights.non > 0:
-                map_f = ops.mesh_map_apply(delta_t, front_cache)
-                map_b = ops.mesh_map_apply(delta_t, back_cache)
-                l_non = losses.loss_nonrigid(map_f, map_b, tf.dmap)
-                parts["non"] = l_non
-                loss = l_non * weights.non
+        expr = deform.expression_offsets(template, frame.epsilon).astype(np.float64)
+        posed = ops.points_affine(constant(
+            (template.vertices.astype(np.float64) + expr).astype(np.float32)) + delta_t,
+            vertex_transforms(template, posed_frame.skeleton).astype(np.float32))
+        p = ops.bary_points(posed, template.faces, texture.face_idx, texture.uv)
+        normal_g = world.tri_rot[:, :, 0].astype(np.float32)
+        means = p + params["gamma"].reshape(-1, 1) * constant(normal_g)
 
-            expr = deform.expression_offsets(template, frame.epsilon).astype(np.float64)
-            posed = ops.points_affine(constant(
-                (template.vertices.astype(np.float64) + expr).astype(np.float32)) + delta_t,
-                vertex_transforms(template, posed_frame.skeleton).astype(np.float32))
-            p = ops.bary_points(posed, template.faces, texture.face_idx, texture.uv)
-            normal_g = world.tri_rot[:, :, 0].astype(np.float32)
-            means = p + params["gamma"].reshape(-1, 1) * constant(normal_g)
+        basis = world.sh_basis.astype(np.float32)
+        color = (params["sh"] * constant(basis[:, None, :])).sum(axis=2) + 0.5
+        color = color.clamp(0.0, 1.0)
+        opacity = params["o"].sigmoid()
+        values = concat([color, constant(world.normal), constant(sem_g)], axis=1)
 
-            basis = world.sh_basis.astype(np.float32)
-            color = (params["sh"] * constant(basis[:, None, :])).sum(axis=2) + 0.5
-            color = color.clamp(0.0, 1.0)
-            opacity = params["o"].sigmoid()
-            values = concat([color, constant(world.normal), constant(sem_g)], axis=1)
+        img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales,
+                               threads=config.threads)
+        color_img = img[:, :, 0:3]
+        normal_img = img[:, :, 3:6]
+        sem_img = img[:, :, 6:9]
 
-            img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales,
-                                   threads=config.threads)
-            color_img = img[:, :, 0:3]
-            normal_img = img[:, :, 3:6]
-            sem_img = img[:, :, 6:9]
+        l1 = losses.loss_l1(color_img, tf.gt_color)
+        parts["l1"] = l1
+        l_rec = l1
+        if weights.ssim > 0:
+            d = losses.loss_dssim(color_img, tf.gt_color)
+            parts["dssim"] = d
+            l_rec = l_rec + d * weights.ssim
+        if weights.nor > 0:
+            n = losses.loss_normal(normal_img, tf.gt_normal, tf.gt_mask)
+            parts["nor"] = n
+            l_rec = l_rec + n * weights.nor
+        loss = l_rec if loss is None else loss + l_rec
 
-            l1 = losses.loss_l1(color_img, tf.gt_color)
-            parts["l1"] = l1
-            l_rec = l1
-            if weights.ssim > 0:
-                d = losses.loss_dssim(color_img, tf.gt_color)
-                parts["dssim"] = d
-                l_rec = l_rec + d * weights.ssim
-            if weights.nor > 0:
-                n = losses.loss_normal(normal_img, tf.gt_normal, tf.gt_mask)
-                parts["nor"] = n
-                l_rec = l_rec + n * weights.nor
-            loss = l_rec if loss is None else loss + l_rec
+        if weights.sem > 0:
+            mesh_sem, mesh_mask, _ = splat.rasterize_mesh_camera(
+                posed_frame.posed_verts, template.faces, sem_labels, camera)
+            alpha_fwd = img.data[:, :, -1]
+            union = mesh_mask | (alpha_fwd > SEM_ALPHA_THRESHOLD)
+            l_sem = losses.loss_semantic(sem_img, mesh_sem, union)
+            parts["sem"] = l_sem
+            loss = loss + l_sem * weights.sem
+        return loss, {key: float(term.data) for key, term in parts.items()}
 
-            if weights.sem > 0:
-                mesh_sem, mesh_mask, _ = splat.rasterize_mesh_camera(
-                    posed_frame.posed_verts, template.faces, sem_labels, camera)
-                alpha_fwd = img.data[:, :, -1]
-                union = mesh_mask | (alpha_fwd > SEM_ALPHA_THRESHOLD)
-                l_sem = losses.loss_semantic(sem_img, mesh_sem, union)
-                parts["sem"] = l_sem
-                loss = loss + l_sem * weights.sem
-
-            total = float(loss.data)
-            if not np.isfinite(total):
-                raise TrainingDiverged(it, *last_good)
-            loss.backward()
-            for key in ("l1", "dssim", "nor", "non", "sem"):
-                if key in parts:
-                    rec[key] += float(parts[key].data) / config.batch_size
-            rec["total"] += total / config.batch_size
-
-        opt.step()
-        rec["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-        history.append(rec)
-        if (it + 1) % config.checkpoint_every == 0:
-            last_good = snapshot()
-
-    new_bundle, new_texture = snapshot()
+    new_bundle, new_texture, history = _optimize(opt, config, len(sequence), frame_loss, snapshot)
+    if disagreeing:
+        history.insert(0, {"iter": -1, "warning": "mask_disagreement", "frames": disagreeing})
     return new_bundle, new_texture, history
 
 
@@ -386,7 +397,7 @@ def finetune(
             body_map=_net_arrays(params["mapb"]),
             blend_pos=params["U"].data.copy(),
             blend_col=params["C"].data.copy(),
-        )
+        ), texture
 
     # the deformation field is frozen, so each frame's pose and binding
     # (without blend shapes, which the graph adds) is built once
@@ -398,60 +409,42 @@ def finetune(
         worlds.append(world)
         sh_colors.append(sh_apply(texture.sh.astype(np.float64), world.sh_basis).astype(np.float32))
 
-    history: list[dict] = []
-    last_good = snapshot()
-    T = len(sequence)
-    for it in range(config.iterations):
-        t0 = time.perf_counter()
-        opt.zero_grad()
-        rec = {"iter": it, "l1": 0.0, "dssim": 0.0, "nor": 0.0, "non": 0.0, "sem": 0.0, "total": 0.0}
-        for bi in range(config.batch_size):
-            t = (it * config.batch_size + bi) % T
-            frame = sequence.frames[t]
-            world = worlds[t]
-            gt = gt_frames[t]
+    def frame_loss(t):
+        frame = sequence.frames[t]
+        world = worlds[t]
+        gt = gt_frames[t]
 
-            z_h = mlp_apply(params["maph"], constant(frame.epsilon[None].astype(np.float32)))
-            z_b = mlp_apply(params["mapb"], constant(frame.theta[None].astype(np.float32)))
-            coeffs = concat([z_h, z_b], axis=1).reshape(n)
+        z_h = mlp_apply(params["maph"], constant(frame.epsilon[None].astype(np.float32)))
+        z_b = mlp_apply(params["mapb"], constant(frame.theta[None].astype(np.float32)))
+        coeffs = concat([z_h, z_b], axis=1).reshape(n)
 
-            du = (params["U"] * coeffs.broadcast_to((G, 3, n))).sum(axis=2)
-            dc = (params["C"] * coeffs.broadcast_to((G, 3, n))).sum(axis=2)
+        du = (params["U"] * coeffs.broadcast_to((G, 3, n))).sum(axis=2)
+        dc = (params["C"] * coeffs.broadcast_to((G, 3, n))).sum(axis=2)
 
-            means = constant(world.means) + ops.rotate_rows(du, world.tri_rot.astype(np.float32))
-            color = (constant(sh_colors[t]) + dc).clamp(0.0, 1.0)
-            values = concat([color, constant(world.normal)], axis=1)
+        means = constant(world.means) + ops.rotate_rows(du, world.tri_rot.astype(np.float32))
+        color = (constant(sh_colors[t]) + dc).clamp(0.0, 1.0)
+        values = concat([color, constant(world.normal)], axis=1)
 
-            img = ops.splat_render(
-                means, values, constant(world.opacity), sequence.camera_for(t),
-                world.rot_mats, world.scales, threads=config.threads,
-            )
-            color_img = img[:, :, 0:3]
+        img = ops.splat_render(
+            means, values, constant(world.opacity), sequence.camera_for(t),
+            world.rot_mats, world.scales, threads=config.threads,
+        )
+        color_img = img[:, :, 0:3]
 
-            l1 = losses.loss_l1(color_img, gt.gt_color)
-            loss = l1
-            rec["l1"] += float(l1.data) / config.batch_size
-            if weights.ssim > 0:
-                d = losses.loss_dssim(color_img, gt.gt_color)
-                rec["dssim"] += float(d.data) / config.batch_size
-                loss = loss + d * weights.ssim
-            if gt.gt_normal is not None:
-                nrm = losses.loss_normal(constant(img.data[:, :, 3:6]), gt.gt_normal, gt.gt_mask)
-                rec["nor"] += float(nrm.data) / config.batch_size
+        l1 = losses.loss_l1(color_img, gt.gt_color)
+        loss = l1
+        terms = {"l1": float(l1.data)}
+        if weights.ssim > 0:
+            d = losses.loss_dssim(color_img, gt.gt_color)
+            terms["dssim"] = float(d.data)
+            loss = loss + d * weights.ssim
+        if gt.gt_normal is not None:
+            nrm = losses.loss_normal(constant(img.data[:, :, 3:6]), gt.gt_normal, gt.gt_mask)
+            terms["nor"] = float(nrm.data)
+        return loss, terms
 
-            total = float(loss.data)
-            if not np.isfinite(total):
-                raise TrainingDiverged(it, last_good, texture)
-            loss.backward()
-            rec["total"] += total / config.batch_size
-
-        opt.step()
-        rec["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-        history.append(rec)
-        if (it + 1) % config.checkpoint_every == 0:
-            last_good = snapshot()
-
-    return snapshot(), history
+    tuned, _, history = _optimize(opt, config, len(sequence), frame_loss, snapshot)
+    return tuned, history
 
 
 def evaluate_nonrigid(

@@ -12,29 +12,29 @@ DEFAULT_LRS = {
     "embeddings": 1e-3,
     "blend": 1e-3,
 }
+# the standard moments and denominator floor of Kingma & Ba, "Adam", ICLR 2015
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# groups stepped row by row: frame-indexed embedding tables
+SPARSE_ROWS = ("embeddings",)
 
 
 class Adam:
-    """Adam with decoupled per-group weight decay and optional sparse-row
+    """Adam with decoupled per-group weight decay and sparse-row
     semantics.
 
-    Groups named in ``sparse_rows`` (embedding tables indexed by frame)
+    Groups named in ``SPARSE_ROWS`` (embedding tables indexed by frame)
     update only rows whose gradient is nonzero this step; dense Adam
     would keep pushing every row from stale momentum, multiplying each
     row's few visits several-fold.
     """
 
     def __init__(self, groups: dict[str, list[Tensor]], lrs: dict[str, float] | None = None,
-                 weight_decay: dict[str, float] | None = None,
-                 sparse_rows: tuple = ("embeddings",),
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: dict[str, float] | None = None):
         self.groups = groups
         # Python floats: under NumPy 2 promotion a NumPy float64 scalar
         # would turn float32 parameters into float64
         self.lrs = {k: float(v) for k, v in {**DEFAULT_LRS, **(lrs or {})}.items()}
         self.weight_decay = {k: float(v) for k, v in (weight_decay or {}).items()}
-        self.sparse_rows = set(sparse_rows)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -43,7 +43,7 @@ class Adam:
             for i, p in enumerate(params):
                 self.m[(name, i)] = np.zeros_like(p.data)
                 self.v[(name, i)] = np.zeros_like(p.data)
-                if name in self.sparse_rows and p.data.ndim >= 1:
+                if name in SPARSE_ROWS and p.data.ndim >= 1:
                     self.row_t[(name, i)] = np.zeros(p.data.shape[0], dtype=np.int64)
 
     def zero_grad(self) -> None:
@@ -53,20 +53,19 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, params in self.groups.items():
             lr = self.lrs.get(name, 1e-3)
             wd = self.weight_decay.get(name, 0.0)
-            sparse = name in self.sparse_rows
             for i, p in enumerate(params):
                 if p.grad is None:
                     continue
                 g = p.grad.astype(p.data.dtype)
                 m = self.m[(name, i)]
                 v = self.v[(name, i)]
-                if sparse and (name, i) in self.row_t:
+                if (name, i) in self.row_t:
                     rows = np.nonzero(np.any(g.reshape(g.shape[0], -1) != 0, axis=1))[0]
                     if rows.size == 0:
                         continue
@@ -76,7 +75,7 @@ class Adam:
                     v[rows] = b2 * v[rows] + (1.0 - b2) * g[rows] * g[rows]
                     cr1 = (1.0 - b1 ** rt[rows]).reshape((-1,) + (1,) * (g.ndim - 1))
                     cr2 = (1.0 - b2 ** rt[rows]).reshape((-1,) + (1,) * (g.ndim - 1))
-                    upd = lr * (m[rows] / cr1) / (np.sqrt(v[rows] / cr2) + self.eps)
+                    upd = lr * (m[rows] / cr1) / (np.sqrt(v[rows] / cr2) + EPS)
                     new_rows = p.data[rows] - upd
                     if wd:
                         new_rows = new_rows * (1.0 - lr * wd)
@@ -88,6 +87,6 @@ class Adam:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * g * g
-                p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+                p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
                 if wd:
                     p.data = p.data * (1.0 - lr * wd)

@@ -111,7 +111,7 @@ def test_criterion_2_renderer_oracle():
         rots = quat_to_matrix(quats).astype(np.float32)
         scales = rng.uniform(0.02, 0.15, size=(n, 3)).astype(np.float32)
         wg = WorldGaussians(
-            means=means, quats=quats, rot_mats=rots, scales=scales,
+            means=means, rot_mats=rots, scales=scales,
             opacity=rng.uniform(0.2, 0.95, size=n).astype(np.float32),
             color=rng.random((n, 3)).astype(np.float32),
             normal=rots[:, :, 0], semantic=rng.random((n, 3)).astype(np.float32),
@@ -149,8 +149,7 @@ def test_criterion_3_sort_quantization():
     means = np.zeros((n, 3), np.float32)
     means[:, 1] = 3.0 - depths[perm]
     wg = WorldGaussians(
-        means=means, quats=np.tile(np.array([1, 0, 0, 0], np.float32), (n, 1)),
-        rot_mats=np.tile(np.eye(3, dtype=np.float32), (n, 1, 1)),
+        means=means, rot_mats=np.tile(np.eye(3, dtype=np.float32), (n, 1, 1)),
         scales=np.full((n, 3), 0.05, np.float32), opacity=np.full(n, 0.5, np.float32),
         color=np.zeros((n, 3), np.float32), normal=np.tile(np.array([1, 0, 0], np.float32), (n, 1)),
     )
@@ -161,7 +160,7 @@ def test_criterion_3_sort_quantization():
     tie_means = np.zeros((4, 3), np.float32)
     tie_means[:, 1] = 3.0 - np.array([2.0, 2.0, 1.0, 2.0])
     wg_tie = dataclasses.replace(wg, means=tie_means,
-                                 quats=wg.quats[:4], rot_mats=wg.rot_mats[:4],
+                                 rot_mats=wg.rot_mats[:4],
                                  scales=wg.scales[:4], opacity=wg.opacity[:4],
                                  color=wg.color[:4], normal=wg.normal[:4])
     ties_ok = (np.array_equal(splat.sort_keys(wg_tie, cam, "exact_f32"), [2, 0, 1, 3])
@@ -204,7 +203,7 @@ def test_criterion_5_baking_reproduction(toy):
 
     # synthetic poses are exactly registered, so the registration-error
     # embeddings are frozen at zero for these runs (see TrainConfig)
-    cfg = train.TrainConfig(iterations=2000, map_resolution=MAP_RES, seed=0, weights=weights,
+    cfg = train.TrainConfig(iterations=2000, map_resolution=MAP_RES, weights=weights,
                             freeze_embeddings=True)
     bundle0 = deform.init_bundle(rig, tex, n_frames=len(train_mot), seed=5)
     baked, _, hist = train.bake(rig, tex, bundle0, src, train_mot, cfg)
@@ -299,7 +298,7 @@ def test_criterion_6_finetune_reproduction():
         planted = _plant_bundle(base_bundle, rig, tex, kind, seed=31)
         gt = _render_set(rig, tex, planted, mot)
         frozen_l1 = _mean_l1(rig, tex, base_bundle, mot, gt)
-        cfg = train.TrainConfig(iterations=400, map_resolution=MAP_RES, seed=0,
+        cfg = train.TrainConfig(iterations=400, map_resolution=MAP_RES,
                                 weights=train.LossWeights(sem=0.0, non=0.0))
         tuned, _ = train.finetune(rig, tex, base_bundle, gt, mot, cfg)
         tuned_l1 = _mean_l1(rig, tex, tuned, mot, gt)

@@ -136,6 +136,15 @@ def test_bake_finetune_quantize_flow(workdir, capsys, tmp_path):
     assert q.precision == "fp16"
 
 
+@pytest.mark.parametrize("flag", [["--tau", "1"], ["--lambda-nor", "0"], ["--lambda-non", "0"],
+                                  ["--lambda-sem", "0"], ["--freeze-embeddings"], ["--seed", "0"],
+                                  ["--log-every", "5"]])
+def test_finetune_rejects_flags_it_does_not_read(workdir, tmp_path, flag):
+    assert run(["finetune", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
+                "--bundle", str(tmp_path / "b.stu"), "--out", str(tmp_path / "o.stu")] + flag) == 2
+    assert not (tmp_path / "o.stu").exists()
+
+
 def test_bake_export_and_ingest_teacher(workdir, tmp_path):
     exp = tmp_path / "teacher_out"
     rc = run(["bake", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),

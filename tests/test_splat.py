@@ -26,7 +26,6 @@ def _random_cloud(rng, n, spread=0.8, scale_range=(0.02, 0.15)):
     scales = rng.uniform(*scale_range, size=(n, 3)).astype(np.float32)
     return WorldGaussians(
         means=means,
-        quats=quats,
         rot_mats=rots,
         scales=scales,
         opacity=rng.uniform(0.2, 0.95, size=n).astype(np.float32),
@@ -69,7 +68,6 @@ def test_tile_renderer_matches_brute_force_oracle():
 def test_single_opaque_gaussian_saturates_center():
     wg = WorldGaussians(
         means=np.zeros((1, 3), np.float32),
-        quats=np.array([[1, 0, 0, 0]], np.float32),
         rot_mats=np.eye(3, dtype=np.float32)[None],
         scales=np.full((1, 3), 0.5, np.float32),
         opacity=np.array([0.9999], np.float32),
@@ -84,7 +82,7 @@ def test_single_opaque_gaussian_saturates_center():
 
 def test_zero_gaussians_renders_transparent_black():
     wg = WorldGaussians(
-        means=np.zeros((0, 3), np.float32), quats=np.zeros((0, 4), np.float32),
+        means=np.zeros((0, 3), np.float32),
         rot_mats=np.zeros((0, 3, 3), np.float32), scales=np.zeros((0, 3), np.float32),
         opacity=np.zeros(0, np.float32), color=np.zeros((0, 3), np.float32),
         normal=np.zeros((0, 3), np.float32),
@@ -132,7 +130,6 @@ def test_depth_channel_orders_contributions():
     means = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], np.float32)
     wg = WorldGaussians(
         means=means,
-        quats=np.tile(np.array([1, 0, 0, 0], np.float32), (2, 1)),
         rot_mats=np.tile(np.eye(3, dtype=np.float32), (2, 1, 1)),
         scales=np.full((2, 3), 0.4, np.float32),
         opacity=np.array([0.95, 0.95], np.float32),
@@ -321,7 +318,6 @@ def _cloud_at_depths(depths):
     means[:, 1] = 3.0 - np.asarray(depths)  # camera sits at y=3 looking -y
     return WorldGaussians(
         means=means,
-        quats=np.tile(np.array([1, 0, 0, 0], np.float32), (n, 1)),
         rot_mats=np.tile(np.eye(3, dtype=np.float32), (n, 1, 1)),
         scales=np.full((n, 3), 0.05, np.float32),
         opacity=np.full(n, 0.5, np.float32),

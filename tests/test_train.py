@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def _bundle_for(t, tex, mot, seed=5):
 
 def test_bake_reproducible_bit_identical(tiny_setup):
     t, tex, mot, src = tiny_setup
-    cfg = train.TrainConfig(iterations=6, map_resolution=48, seed=0,
+    cfg = train.TrainConfig(iterations=6, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     b1, tex1, h1 = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
     b2, tex2, h2 = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
@@ -248,7 +249,7 @@ def test_bake_gradient_isolation_lambda_zero(tiny_setup):
     # a run whose teacher maps are replaced by garbage (those paths are
     # never evaluated)
     t, tex, mot, src = tiny_setup
-    cfg = train.TrainConfig(iterations=2, map_resolution=48, seed=0,
+    cfg = train.TrainConfig(iterations=2, map_resolution=48,
                             weights=train.LossWeights(non=0.0, sem=0.0))
     doctored = teacher.TeacherSource(
         frames=[teacher.TeacherFrame(
@@ -269,7 +270,7 @@ def test_bake_nan_teacher_aborts_with_checkpoint(tiny_setup):
             dmap=f.dmap, gt_color=np.full_like(f.gt_color, np.nan),
             gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames],
         provenance="nan", map_resolution=src.map_resolution)
-    cfg = train.TrainConfig(iterations=3, map_resolution=48, seed=0,
+    cfg = train.TrainConfig(iterations=3, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     with pytest.raises(train.TrainingDiverged) as ei:
         train.bake(t, tex, _bundle_for(t, tex, mot), bad, mot, cfg)
@@ -285,7 +286,7 @@ def test_bake_requires_matching_map_resolution(tiny_setup):
         train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
 
 
-def test_bake_mask_disagreement_warning(tiny_setup):
+def test_bake_mask_disagreement_warning(tiny_setup, tmp_path):
     t, tex, mot, src = tiny_setup
     shrunk = []
     for f in src.frames:
@@ -295,10 +296,18 @@ def test_bake_mask_disagreement_warning(tiny_setup):
             dmap=dataclasses.replace(f.dmap, front_mask=fm),
             gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask))
     bad = teacher.TeacherSource(shrunk, "shrunk", src.map_resolution)
-    cfg = train.TrainConfig(iterations=1, map_resolution=48, seed=0,
+    cfg = train.TrainConfig(iterations=1, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     _, _, hist = train.bake(t, tex, _bundle_for(t, tex, mot), bad, mot, cfg)
     assert any("warning" in rec for rec in hist)
+    # the --log line keeps the warning and its frames as key=value tokens
+    p = tmp_path / "log.txt"
+    train.write_train_log(hist, p)
+    fields = dict(kv.split("=", 1) for kv in p.read_text().splitlines()[0].split())
+    assert fields["iter"] == "-1"
+    assert fields["warning"] == "mask_disagreement"
+    # every frame lost half its front mask
+    assert [int(i) for i in fields["frames"].split(",")] == [0, 1, 2]
 
 
 def test_finetune_fixed_point_when_gt_matches(tiny_setup):
@@ -312,7 +321,7 @@ def test_finetune_fixed_point_when_gt_matches(tiny_setup):
         gently.append(teacher.TeacherFrame(
             dmap=None, gt_color=res.target.color,
             gt_normal=res.target.normal, gt_mask=res.target.alpha > 0.5))
-    cfg = train.TrainConfig(iterations=12, map_resolution=48, seed=0)
+    cfg = train.TrainConfig(iterations=12, map_resolution=48)
     tuned, hist = train.finetune(t, tex, bundle, gently, mot, cfg)
     assert hist[0]["l1"] < 1e-6
     assert np.abs(tuned.blend_pos).max() < 1e-4
@@ -326,7 +335,7 @@ def test_finetune_first_step_bounded_in_output_units(tiny_setup):
     t, tex, mot, src = tiny_setup
     bundle = _bundle_for(t, tex, mot)
     lr = 1e-3
-    cfg = train.TrainConfig(iterations=1, map_resolution=48, seed=0, lrs={"blend": lr})
+    cfg = train.TrainConfig(iterations=1, map_resolution=48, lrs={"blend": lr})
     tuned, _ = train.finetune(t, tex, bundle, src.frames, mot, cfg)
     z = [np.abs(deform.blend_coeffs(bundle, f)).sum() for f in mot.frames]
     edge = gstexture.triangle_frames(t.vertices, t.faces)[1][tex.face_idx.astype(np.int64)].mean()
@@ -340,9 +349,67 @@ def test_finetune_first_step_bounded_in_output_units(tiny_setup):
         assert np.abs(dc).max() <= col_lr * z_l1 * (1 + 1e-4)
 
 
+_FROZEN_LRS = {"mlp": 0.0, "attributes": 0.0, "embeddings": 0.0, "blend": 0.0}
+
+
+def _equals_batch_mean(batched, r0, r1):
+    for key in ("l1", "dssim", "nor", "non", "sem", "total"):
+        assert batched[key] == r0[key] / 2 + r1[key] / 2, key
+
+
+def test_bake_batch_record_is_mean_of_frames(tiny_setup):
+    # with every lr at zero no step moves a parameter, so a 2-frame
+    # step's record is the mean of the two 1-frame steps' records
+    t, tex, mot, src = tiny_setup
+
+    def hist(iterations, batch_size):
+        cfg = train.TrainConfig(iterations=iterations, batch_size=batch_size, map_resolution=48,
+                                lrs=_FROZEN_LRS)
+        return train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)[2]
+
+    r0, r1 = hist(2, 1)
+    (batched,) = hist(1, 2)
+    _equals_batch_mean(batched, r0, r1)
+
+
+def test_finetune_batch_record_is_mean_of_frames(tiny_setup):
+    t, tex, mot, src = tiny_setup
+    bundle = _bundle_for(t, tex, mot)
+
+    def hist(iterations, batch_size):
+        cfg = train.TrainConfig(iterations=iterations, batch_size=batch_size, map_resolution=48,
+                                lrs=_FROZEN_LRS)
+        return train.finetune(t, tex, bundle, src.frames, mot, cfg)[1]
+
+    r0, r1 = hist(2, 1)
+    (batched,) = hist(1, 2)
+    _equals_batch_mean(batched, r0, r1)
+
+
+def test_finetune_nan_gt_aborts_with_input_state(tiny_setup):
+    t, tex, mot, src = tiny_setup
+    bundle = _bundle_for(t, tex, mot)
+    bad = [teacher.TeacherFrame(dmap=None, gt_color=np.full_like(f.gt_color, np.nan),
+                                gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames]
+    cfg = train.TrainConfig(iterations=3, map_resolution=48)
+    with pytest.raises(train.TrainingDiverged) as ei:
+        train.finetune(t, tex, bundle, bad, mot, cfg)
+    assert ei.value.iteration == 0
+    assert np.array_equal(ei.value.bundle.blend_pos, bundle.blend_pos)
+    assert np.array_equal(ei.value.bundle.blend_col, bundle.blend_col)
+    assert ei.value.texture is tex
+
+
+def test_train_config_has_no_inert_fields():
+    # every field is read by a training stage
+    source = inspect.getsource(inspect.getmodule(train.bake))
+    for f in dataclasses.fields(train.TrainConfig):
+        assert f"config.{f.name}" in source, f.name
+
+
 def test_train_log_format(tiny_setup, tmp_path):
     t, tex, mot, src = tiny_setup
-    cfg = train.TrainConfig(iterations=2, map_resolution=48, seed=0,
+    cfg = train.TrainConfig(iterations=2, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     _, _, hist = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
     p = tmp_path / "log.txt"
