@@ -194,7 +194,7 @@ def cmd_bind(args) -> int:
 
 def _teacher_for(args, template, texture, motion):
     if args.teacher_dir:
-        manifest = os.path.join(args.teacher_dir, "manifest.txt")
+        manifest = os.path.join(args.teacher_dir, teacher.MANIFEST)
         src = teacher.ingest_teacher(manifest)
         if len(src) != len(motion):
             raise ValidationError(f"teacher has {len(src)} frames, motion has {len(motion)}")
@@ -273,20 +273,18 @@ def cmd_render(args) -> int:
     motion = _motion_for(args, t)
     if not 0 <= args.frame < len(motion):
         raise ValidationError(f"frame {args.frame} outside motion of length {len(motion)}")
-    channels = tuple(args.channels.split(","))
+    if args.relight:
+        light = [float(x) for x in args.relight.split(",")]
+        if len(light) != 3:
+            raise ValidationError("--relight needs dx,dy,dz")
     res = deform.animate_frame(
         t, tex, bundle, motion.frames[args.frame], motion.camera_for(args.frame),
-        channels=channels, frame_index=args.frame,
-        sort_mode=args.sort_mode, threads=args.threads,
+        channels=("color", "alpha", "normal") if args.relight else ("color", "alpha"),
+        frame_index=args.frame, sort_mode=args.sort_mode, threads=args.threads,
     )
     img = res.target.color
     if args.relight:
-        parts = [float(x) for x in args.relight.split(",")]
-        if len(parts) != 3:
-            raise ValidationError("--relight needs dx,dy,dz")
-        if res.target.normal is None:
-            raise ValidationError("--relight needs 'normal' in --channels")
-        img = splat.relight(img, res.target.normal, parts, ambient=args.ambient)
+        img = splat.relight(img, res.target.normal, light, ambient=args.ambient)
     splat.write_image(img, args.out)
     print(_summary(status="ok", cmd="render", out=args.out, frame=args.frame,
                    gaussians=tex.num_gaussians, alpha_mean=float(res.target.alpha.mean())))
@@ -464,9 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", help="student bundle (.stu); omit for the static binding")
     _motion_flags(p, default_frames=1)
     p.add_argument("--frame", type=int, default=0, help="frame index")
-    p.add_argument("--channels", default="color,alpha", help="comma list: color,alpha,normal,depth,semantic")
     p.add_argument("--sort-mode", default="exact_f32", choices=("exact_f32", "quant_u16"))
-    p.add_argument("--relight", help="light direction dx,dy,dz (unitless; needs normal channel)")
+    p.add_argument("--relight", help="shade by the rendered normals; light direction dx,dy,dz (unitless)")
     p.add_argument("--ambient", type=float, default=0.2, help="relight ambient term")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output image (.ppm or .png)")

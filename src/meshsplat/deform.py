@@ -133,36 +133,27 @@ def init_bundle(
     texture: GaussianTexture,
     n_frames: int,
     seed: int = 0,
-    hidden: int = HIDDEN,
-    layers: int = LAYERS,
-    map_hidden: int = MAP_HIDDEN,
-    n_head: int = N_HEAD,
-    n_body: int = N_BODY,
-    embed_dim: int = EMBED_DIM,
-    pe_bands: int = PE_BANDS,
 ) -> StudentBundle:
+    """A fresh student of the module's sizes (``HIDDEN``, ``LAYERS``,
+    ``MAP_HIDDEN``, ``N_HEAD``, ``N_BODY``, ``EMBED_DIM``, ``PE_BANDS``)."""
     rng = np.random.default_rng(seed)
-    in_dim = pe_dim(3, pe_bands) + template.theta_dim + embed_dim
-    dims = [in_dim] + [hidden] * (layers - 1) + [3]
+    in_dim = pe_dim(3, PE_BANDS) + template.theta_dim + EMBED_DIM
+    dims = [in_dim] + [HIDDEN] * (LAYERS - 1) + [3]
     G = texture.num_gaussians
-    n = n_head + n_body
+    n = N_HEAD + N_BODY
     # deform MLPs start as the identity residual (zero output layer); the
     # mapping nets keep live outputs so the bilinear blend-shape product
     # U @ z has a gradient path from the start (U, C hold the zeros)
     return StudentBundle(
         body_mlp=mlp_init(dims, rng),
         cloth_mlp=mlp_init(dims, rng),
-        head_map=mlp_init([template.num_expressions, map_hidden, n_head], rng, zero_last=False),
-        body_map=mlp_init([template.theta_dim, map_hidden, n_body], rng, zero_last=False),
+        head_map=mlp_init([template.num_expressions, MAP_HIDDEN, N_HEAD], rng, zero_last=False),
+        body_map=mlp_init([template.theta_dim, MAP_HIDDEN, N_BODY], rng, zero_last=False),
         blend_pos=np.zeros((G, 3, n), dtype=np.float32),
         blend_col=np.zeros((G, 3, n), dtype=np.float32),
-        z_table=np.zeros((max(n_frames, 1), embed_dim), dtype=np.float32),
-        pe_bands=pe_bands,
+        z_table=np.zeros((max(n_frames, 1), EMBED_DIM), dtype=np.float32),
         theta_dim=template.theta_dim,
         eps_dim=template.num_expressions,
-        embed_dim=embed_dim,
-        n_head=n_head,
-        n_body=n_body,
     )
 
 
@@ -259,7 +250,6 @@ def pose_frame(
     vertex_delta: np.ndarray | None = None,
     delta_u: np.ndarray | None = None,
     delta_c: np.ndarray | None = None,
-    gaussian_semantic: np.ndarray | None = None,
 ) -> PosedFrame:
     """Pose and bind one frame: expression offsets plus ``vertex_delta``
     in canonical space, skinning, then the triangle-frame binding of
@@ -278,7 +268,7 @@ def pose_frame(
         view = {"view_dir": splat.projection.view_direction(camera)}
     world = local_to_world(
         texture, posed, template.faces,
-        delta_u=delta_u, delta_c=delta_c, semantic=gaussian_semantic, **view,
+        delta_u=delta_u, delta_c=delta_c, **view,
     )
     return PosedFrame(posed_verts=posed, vertex_delta=delta, skeleton=skeleton, world=world)
 
@@ -292,7 +282,6 @@ def animate_frame(
     channels=("color", "alpha"),
     frame_index: int | None = None,
     extra_vertex_delta: np.ndarray | None = None,
-    gaussian_semantic: np.ndarray | None = None,
     sort_mode: str = "exact_f32",
     threads: int = 1,
 ) -> AnimateResult:
@@ -312,7 +301,7 @@ def animate_frame(
         extra = extra_vertex_delta.astype(np.float32)
         delta = extra if delta is None else delta + extra
 
-    posed = pose_frame(template, texture, frame, camera, delta, delta_u, delta_c, gaussian_semantic)
+    posed = pose_frame(template, texture, frame, camera, delta, delta_u, delta_c)
     target = splat.render(posed.world, camera, channels=channels, sort_mode=sort_mode, threads=threads)
     return AnimateResult(
         target=target,

@@ -171,7 +171,6 @@ def local_to_world(
     view_dir: np.ndarray | None = None,
     delta_u: np.ndarray | None = None,
     delta_c: np.ndarray | None = None,
-    semantic: np.ndarray | None = None,
 ) -> WorldGaussians:
     """Carry local Gaussian attributes to world space via the posed mesh.
 
@@ -224,7 +223,6 @@ def local_to_world(
         opacity=opacity.astype(np.float32),
         color=color.astype(np.float32),
         normal=rot_mats[:, :, 0].astype(np.float32),
-        semantic=None if semantic is None else semantic.astype(np.float32),
         tri_rot=R,
         sh_basis=basis,
     )

@@ -1,14 +1,15 @@
-"""Tile-based software Gaussian splatter and mesh map rasterizer.
+"""Tile-based software Gaussian splatter and mesh rasterizer.
 
 ``splat_forward`` is the one splat forward pass: project, cull to the
 visible set, order by ``order_key`` (exact f32 or u16-quantized depth)
 and composite. ``render`` (color/alpha/normal/depth/semantic channels)
 gathers channels and calls it; training's differentiable splat
-(``train.ops.SplatRender``) calls it too. Also here: ``sort_keys`` (the
-visible front-to-back permutation under the same key), canonical
-front/back ``deformation_maps`` (``map_caches`` rasterizes a template
+(``train.ops.SplatRender``) calls it too, and its backward is
+``composite_backward`` of the ``TileCache`` the forward kept. Also here:
+``sort_keys`` (the visible front-to-back permutation under the same
+key), the canonical front/back maps (``map_caches`` rasterizes a mesh
 once and ``apply_map_caches`` interpolates a field through that raster),
-``relight``, and image IO.
+``rasterize_mesh_camera``, ``relight``, and image IO.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from ..assets import Camera, ValidationError
 from ..gstexture import WorldGaussians
 from . import images, meshraster, projection, tiles
 from .images import read_pgm, read_ppm, write_pgm, write_png, write_ppm
-from .meshraster import (
-    RasterCache,
-    apply_map_caches,
-    deformation_maps,
-    map_bounds,
-    map_caches,
-    rasterize_mesh_camera,
-    rasterize_mesh_map,
-)
+from .meshraster import RasterCache, apply_map_caches, map_bounds, map_caches, rasterize_mesh_camera
 from .projection import Projected, backproject_mean_grads, camera_center, project_gaussians
 from .tiles import TILE, composite, composite_backward
 
@@ -171,27 +164,18 @@ def relight(
     return np.clip(color.astype(np.float64) * shade, 0.0, 1.0).astype(np.float32)
 
 
-def write_image(target, path, fmt: str | None = None) -> None:
-    """Write a render target's color (or a raw array) as PPM or PNG."""
-    img = target.color if isinstance(target, RenderTarget) else np.asarray(target)
-    if img is None:
-        raise ValidationError("render target has no color channel")
-    if fmt is None:
-        fmt = "png" if str(path).lower().endswith(".png") else "ppm"
-    if fmt == "ppm":
-        write_ppm(img, path)
-    elif fmt == "png":
+def write_image(img: np.ndarray, path) -> None:
+    """Write an [H, W, 3] image as PNG if ``path`` ends in .png, else as PPM."""
+    if str(path).lower().endswith(".png"):
         write_png(img, path)
     else:
-        raise ValueError(f"unknown image format '{fmt}'")
+        write_ppm(img, path)
 
 
 __all__ = [
     "RenderTarget", "render", "splat_forward", "order_key", "sort_keys", "quantized_depth_keys",
-    "relight", "write_image",
-    "deformation_maps", "rasterize_mesh_map", "rasterize_mesh_camera", "map_bounds",
-    "map_caches", "apply_map_caches", "RasterCache", "Projected", "project_gaussians",
-    "backproject_mean_grads", "camera_center", "composite", "composite_backward",
+    "relight", "write_image", "rasterize_mesh_camera", "map_bounds", "map_caches",
+    "apply_map_caches", "RasterCache", "Projected", "project_gaussians", "backproject_mean_grads", "camera_center", "composite", "composite_backward",
     "write_ppm", "read_ppm", "write_pgm", "read_pgm", "write_png", "TILE", "U16_BINS",
     "images", "meshraster", "projection", "tiles", "CHANNELS",
 ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..assets import Camera, DeformationMap, RiggedTemplate, ValidationError
+from ..assets import Camera, DeformationMap, ValidationError
 
 MAP_MARGIN = 0.05  # fractional bbox margin for front/back maps
 _CHUNK_PAIRS = 1 << 17  # (face, pixel) pairs evaluated at once; bounds scratch memory
@@ -162,12 +162,12 @@ def _rasterize(pts2d: np.ndarray, z: np.ndarray, faces: np.ndarray, width: int, 
     )
 
 
-def map_bounds(verts: np.ndarray, margin: float = MAP_MARGIN) -> np.ndarray:
-    """(xmin, xmax, zmin, zmax) of the canonical bbox plus margin."""
+def map_bounds(verts: np.ndarray) -> np.ndarray:
+    """(xmin, xmax, zmin, zmax) of the canonical bbox plus ``MAP_MARGIN``."""
     xmin, xmax = float(verts[:, 0].min()), float(verts[:, 0].max())
     zmin, zmax = float(verts[:, 2].min()), float(verts[:, 2].max())
-    mx = margin * max(xmax - xmin, 1e-6)
-    mz = margin * max(zmax - zmin, 1e-6)
+    mx = MAP_MARGIN * max(xmax - xmin, 1e-6)
+    mz = MAP_MARGIN * max(zmax - zmin, 1e-6)
     return np.array([xmin - mx, xmax + mx, zmin - mz, zmax + mz], dtype=np.float32)
 
 
@@ -185,52 +185,32 @@ def map_projection(verts: np.ndarray, bounds: np.ndarray, resolution: int | tupl
 
 def _map_cache(verts: np.ndarray, faces: np.ndarray, side: str, resolution, bounds) -> RasterCache:
     """Orthographic raster along +y (front) or -y (back) into map pixels."""
-    if faces.size == 0:
-        raise ValueError("mesh must be non-empty")
-    _check_finite(verts)
     pts2d, w, h = map_projection(verts.astype(np.float64), bounds, resolution)
     depth = -verts[:, 1] if side == "front" else verts[:, 1]
     return _rasterize(pts2d, depth.astype(np.float64), faces, w, h)
 
 
-def rasterize_mesh_map(
+def map_caches(
     verts: np.ndarray,
     faces: np.ndarray,
-    attrs: np.ndarray,
-    side: str,
-    resolution: int | tuple[int, int] = 512,
+    resolution: int | tuple[int, int],
     bounds: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, RasterCache]:
-    """Orthographic attribute map along +y (front) or -y (back).
+) -> tuple[RasterCache, RasterCache, np.ndarray]:
+    """Front/back canonical raster structure of a mesh, built once and
+    applied to any per-vertex field with ``apply_map_caches``.
 
-    Front and back share the same pixel layout; only the depth test
-    flips, so a closed mesh produces identical silhouettes on both sides.
-    Returns (map [H,W,3], mask [H,W], cache).
+    Both sides share one pixel layout over ``bounds`` (default
+    ``map_bounds(verts)``); only the depth test flips, so a closed mesh
+    gives identical silhouettes on both. Returns (front, back, bounds).
     """
-    if side not in ("front", "back"):
-        raise ValueError("side must be 'front' or 'back'")
-    if bounds is None:
-        bounds = map_bounds(verts)
-    cache = _map_cache(verts, faces, side, resolution, bounds)
-    img, mask = cache.apply(attrs)
-    return img, mask, cache
-
-
-def _map_caches(verts, faces, resolution, bounds) -> tuple[RasterCache, RasterCache, np.ndarray]:
+    if faces.size == 0:
+        raise ValueError("mesh must be non-empty")
+    _check_finite(verts)
     if bounds is None:
         bounds = map_bounds(verts)
     return (_map_cache(verts, faces, "front", resolution, bounds),
             _map_cache(verts, faces, "back", resolution, bounds),
             np.asarray(bounds, dtype=np.float32))
-
-
-def map_caches(
-    template: RiggedTemplate,
-    resolution: int | tuple[int, int] = 512,
-    bounds: np.ndarray | None = None,
-) -> tuple[RasterCache, RasterCache, np.ndarray]:
-    """Front/back canonical raster structure, precomputed once per template."""
-    return _map_caches(template.vertices, template.faces, resolution, bounds)
 
 
 def apply_map_caches(front: RasterCache, back: RasterCache, bounds: np.ndarray,
@@ -239,24 +219,6 @@ def apply_map_caches(front: RasterCache, back: RasterCache, bounds: np.ndarray,
     fimg, fmask = front.apply(attrs)
     bimg, bmask = back.apply(attrs)
     return DeformationMap(front=fimg, back=bimg, front_mask=fmask, back_mask=bmask, bounds=bounds)
-
-
-def deformation_maps(
-    template_or_verts,
-    attrs: np.ndarray,
-    faces: np.ndarray | None = None,
-    resolution: int | tuple[int, int] = 512,
-    bounds: np.ndarray | None = None,
-) -> DeformationMap:
-    """Rasterize a per-vertex 3-vector field to both canonical map sides."""
-    if isinstance(template_or_verts, RiggedTemplate):
-        verts = template_or_verts.vertices
-        faces = template_or_verts.faces
-    else:
-        verts = template_or_verts
-        if faces is None:
-            raise ValueError("faces required when passing raw vertices")
-    return apply_map_caches(*_map_caches(verts, faces, resolution, bounds), attrs)
 
 
 def rasterize_mesh_camera(

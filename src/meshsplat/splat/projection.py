@@ -27,7 +27,6 @@ class Projected:
     conic: np.ndarray      # [N,3] inverse 2D covariance (a, b, c)
     radius: np.ndarray     # [N] px, conservative footprint bound
     jac: np.ndarray        # [N,2,3] d means2d / d means3d (camera frame held fixed)
-    cam_rot: np.ndarray    # [3,3] world->camera rotation
     visible: np.ndarray    # [N] bool, inside the depth range
     cov2d: np.ndarray      # [N,3] clamped 2D covariance (a, b, c)
 
@@ -119,15 +118,11 @@ def project_gaussians(
         conic=conic,
         radius=radius,
         jac=jac @ Rc,  # directly d(px)/d(world mean)
-        cam_rot=Rc,
         visible=visible,
         cov2d=cov2d,
     )
 
 
-def backproject_mean_grads(proj: Projected, d_means2d: np.ndarray, d_depth: np.ndarray | None = None) -> np.ndarray:
+def backproject_mean_grads(proj: Projected, d_means2d: np.ndarray) -> np.ndarray:
     """Pull screen-space mean gradients back to world means via the Jacobian."""
-    g = np.einsum("nab,na->nb", proj.jac, d_means2d.astype(np.float64))
-    if d_depth is not None:
-        g = g + d_depth.astype(np.float64)[:, None] * proj.cam_rot[2, :]
-    return g
+    return np.einsum("nab,na->nb", proj.jac, d_means2d.astype(np.float64))

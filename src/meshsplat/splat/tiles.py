@@ -18,12 +18,13 @@ list runs out. Until a pixel stops, its sum is the dense per-pixel
 composite over the same order: tiling prunes only zero contributions,
 and the carried T is the dense running product bit for bit.
 
-The cache keeps each chunk's Gaussians, alive pixels, weights and
-exclusive transmittance. The backward pass walks a tile's chunks back to
-front, carrying each pixel's suffix sum over the later chunks, and emits
-the exact gradient of the truncated forward for per-Gaussian channel
-values, opacities, and 2D means (the weight exponent path); the 2D
-covariance is held fixed.
+The cache keeps the float64 inputs that were composited, and each
+chunk's Gaussians, alive pixels, weights and exclusive transmittance, so
+the backward pass needs only the image gradient. It walks a tile's
+chunks back to front, carrying each pixel's suffix sum over the later
+chunks, and emits the exact gradient of the truncated forward for
+per-Gaussian channel values, opacities, and 2D means (the weight
+exponent path); the 2D covariance is held fixed.
 """
 
 from __future__ import annotations
@@ -43,13 +44,17 @@ CHUNK = 256        # Gaussians in a tile's first chunk; each later chunk doubles
 
 @dataclass
 class TileCache:
-    """Everything backward needs; one entry per non-empty tile."""
+    """Everything backward needs: the composited Gaussians in float64 and
+    one entry per non-empty tile."""
 
     width: int
     height: int
-    n_values: int
-    tiles: list        # (x0, y0, chunks) per tile, front to back
-                       # chunk: (ids [n], alive px [m], w [n, m], t_excl [n, m])
+    means2d: np.ndarray  # [N,2]
+    conic: np.ndarray    # [N,3]
+    opacity: np.ndarray  # [N]
+    values: np.ndarray   # [N,C]
+    tiles: list          # (x0, y0, chunks) per tile, front to back
+                         # chunk: (ids [n], alive px [m], w [n, m], t_excl [n, m])
 
 
 def _tile_pixel_centers(x0: int, y0: int, width: int, height: int):
@@ -119,7 +124,11 @@ def composite(
     n, n_values = values.shape
     out_dtype = np.result_type(means2d.dtype, np.float32)
     out = np.zeros((height, width, n_values + 1), dtype=np.float64)
-    cache = TileCache(width, height, n_values, []) if keep_cache else None
+    means64 = means2d.astype(np.float64)
+    conic64 = conic.astype(np.float64)
+    op64 = opacity.astype(np.float64)
+    val64 = values.astype(np.float64)
+    cache = TileCache(width, height, means64, conic64, op64, val64, []) if keep_cache else None
     if n == 0:
         return out.astype(out_dtype), cache
 
@@ -130,11 +139,6 @@ def composite(
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [tile_of.size]])
     ntx = (width + TILE - 1) // TILE
-
-    means64 = means2d.astype(np.float64)
-    conic64 = conic.astype(np.float64)
-    op64 = opacity.astype(np.float64)
-    val64 = values.astype(np.float64)
     v_max = np.abs(val64).max(initial=1.0)
 
     def run_tile(k):
@@ -177,29 +181,21 @@ def composite(
     return out.astype(out_dtype), cache
 
 
-def composite_backward(
-    cache: TileCache,
-    means2d: np.ndarray,
-    conic: np.ndarray,
-    opacity: np.ndarray,
-    values: np.ndarray,
-    d_out: np.ndarray,
-):
-    """Gradients of ``composite`` w.r.t. values, opacity, and 2D means.
+def composite_backward(cache: TileCache, d_out: np.ndarray):
+    """Gradients of ``composite`` w.r.t. the values, opacities and 2D
+    means it composited: (d_values [N, C], d_opacity [N], d_means2d [N, 2]).
 
     ``d_out`` is [H, W, C+1] including the alpha channel. Covariance, the
     compositing order and the pixels' stopping points are treated as
     constants.
     """
-    n = values.shape[0]
-    d_values = np.zeros((n, values.shape[1] + 1))  # alpha column appended, dropped at the end
+    n, n_values = cache.values.shape
+    d_values = np.zeros((n, n_values))
     d_opacity = np.zeros(n)
     d_means = np.zeros((n, 2))
-
-    means64 = means2d.astype(np.float64)
-    conic64 = conic.astype(np.float64)
-    op64 = np.maximum(opacity.astype(np.float64), 1e-12)
-    val_ext = np.concatenate([values.astype(np.float64), np.ones((n, 1))], axis=1)
+    means64, conic64 = cache.means2d, cache.conic
+    op64 = np.maximum(cache.opacity, 1e-12)
+    val_ext = np.concatenate([cache.values, np.ones((n, 1))], axis=1)
 
     for (x0, y0, chunks) in cache.tiles:
         px, w_px, h_px = _tile_pixel_centers(x0, y0, cache.width, cache.height)
@@ -207,7 +203,7 @@ def composite_backward(
             d_out[y0 : y0 + h_px, x0 : x0 + w_px]
             .astype(np.float64)
             .transpose(2, 0, 1)
-            .reshape(cache.n_values + 1, -1)
+            .reshape(n_values + 1, -1)
         )  # [C+1, npx]
         later = np.zeros(px.shape[1])  # per pixel: sum of contrib * p over later chunks
         for ids, alive, w, t_excl in reversed(chunks):
@@ -215,7 +211,7 @@ def composite_backward(
             contrib = w * t_excl
 
             # channel-value gradients: dL/dv_ic = sum_px g_c * contrib_i
-            d_values[ids] += contrib @ g.T
+            d_values[ids] += contrib @ g[:n_values].T
 
             # weight gradients: dL/dw_i = P_i T_i - S_i / (1 - w_i), S_i the
             # strict suffix sum of contrib * P; the later chunks' sum heads
@@ -238,4 +234,4 @@ def composite_backward(
             d_means[ids, 0] += (dww * gx).sum(axis=1)
             d_means[ids, 1] += (dww * gy).sum(axis=1)
 
-    return d_values[:, :-1], d_values[:, -1], d_opacity, d_means
+    return d_values, d_opacity, d_means

@@ -27,6 +27,7 @@ from .assets import (
 
 FIELDS = ("none", "sway", "breathing")
 PHASE_GAIN = 12.0
+MANIFEST = "manifest.txt"  # the frame list inside an exported teacher directory
 
 
 @dataclass
@@ -129,7 +130,7 @@ def procedural_teacher(
     color/normal/mask pseudo-GT rendered with the current texture.
     """
     f = make_field(template, field, amplitude, seed)
-    front_cache, back_cache, bounds = splat.map_caches(template, map_resolution)
+    front_cache, back_cache, bounds = splat.map_caches(template.vertices, template.faces, map_resolution)
     frames = []
     for t, frame in enumerate(sequence.frames):
         delta = f(frame.theta)
@@ -154,7 +155,7 @@ def procedural_teacher(
 # paths relative to the manifest's directory.
 
 
-def export_teacher(source: TeacherSource, out_dir, manifest_name: str = "manifest.txt") -> str:
+def export_teacher(source: TeacherSource, out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for t, tf in enumerate(source.frames):
@@ -167,7 +168,7 @@ def export_teacher(source: TeacherSource, out_dir, manifest_name: str = "manifes
         splat.write_ppm((tf.gt_normal + 1.0) * 0.5, os.path.join(out_dir, names[2]))
         splat.write_pgm(tf.gt_mask.astype(np.float32), os.path.join(out_dir, names[3]))
         lines.append(" ".join(names))
-    manifest = os.path.join(out_dir, manifest_name)
+    manifest = os.path.join(out_dir, MANIFEST)
     with open(manifest, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return manifest

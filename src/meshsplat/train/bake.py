@@ -208,7 +208,7 @@ def bake(
             f"teacher supplies {len(teacher.frames)} frames, sequence has {len(sequence)}"
         )
 
-    front_cache, back_cache, _ = splat.map_caches(template, config.map_resolution)
+    front_cache, back_cache, _ = splat.map_caches(template.vertices, template.faces, config.map_resolution)
     for t, tf in enumerate(teacher.frames):
         if tf.dmap is None:
             raise ValidationError(f"teacher frame {t} carries no deformation maps")
@@ -456,7 +456,7 @@ def evaluate_nonrigid(
 ) -> float:
     """Mean front+back map L1 against a teacher over a (held-out)
     sequence, driving novel frames with the z_0 convention."""
-    front_cache, back_cache, _ = splat.map_caches(template, map_resolution)
+    front_cache, back_cache, _ = splat.map_caches(template.vertices, template.faces, map_resolution)
     total = 0.0
     for t, frame in enumerate(sequence.frames):
         novel = FrameInput(frame.theta, frame.epsilon, frame.root, bundle.z_table[0])

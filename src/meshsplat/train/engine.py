@@ -124,15 +124,6 @@ class Tensor:
     def sigmoid(self):
         return Sigmoid.apply(self)
 
-    def exp(self):
-        return Exp.apply(self)
-
-    def sin(self):
-        return Sin.apply(self)
-
-    def cos(self):
-        return Cos.apply(self)
-
     def square(self):
         return Mul.apply(self, self)
 
@@ -291,33 +282,6 @@ class Sigmoid(Function):
 
     def backward(self, g):
         return (g * self.out * (1.0 - self.out),)
-
-
-class Exp(Function):
-    def forward(self, a):
-        self.out = np.exp(a)
-        return self.out
-
-    def backward(self, g):
-        return (g * self.out,)
-
-
-class Sin(Function):
-    def forward(self, a):
-        self.a = a
-        return np.sin(a)
-
-    def backward(self, g):
-        return (g * np.cos(self.a),)
-
-
-class Cos(Function):
-    def forward(self, a):
-        self.a = a
-        return np.cos(a)
-
-    def backward(self, g):
-        return (g * -np.sin(self.a),)
 
 
 class Clamp(Function):

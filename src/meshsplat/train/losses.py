@@ -30,18 +30,18 @@ def loss_l1(pred: Tensor, gt: np.ndarray) -> Tensor:
     return (pred - constant(gt.astype(pred.data.dtype))).abs().mean()
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    x = np.arange(size) - (size - 1) / 2.0
-    k = np.exp(-(x ** 2) / (2.0 * sigma ** 2))
+def gaussian_window() -> np.ndarray:
+    """The normalized 1D SSIM kernel: ``SSIM_WINDOW`` taps, ``SSIM_SIGMA``."""
+    x = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    k = np.exp(-(x ** 2) / (2.0 * SSIM_SIGMA ** 2))
     return k / k.sum()
 
 
-def ssim(pred: Tensor, gt: np.ndarray, window: np.ndarray | None = None) -> Tensor:
+def ssim(pred: Tensor, gt: np.ndarray) -> Tensor:
     """Mean SSIM with an 11x11 Gaussian window (sigma 1.5), stabilized by
     the standard constants for unit dynamic range."""
     _check_same_shape(pred.data, gt)
-    if window is None:
-        window = gaussian_window()
+    window = gaussian_window()
     g = constant(gt.astype(pred.data.dtype))
     mu_x = conv_gaussian(pred, window)
     mu_y = conv_gaussian(g, window)

@@ -98,12 +98,10 @@ class SplatRender(Function):
     def forward(self, means3d, values, opacity, camera=None, rot_mats=None, scales=None, threads=1):
         out, self.proj, self.idx, self.cache = splat_forward(
             means3d, rot_mats, scales, opacity, values, camera, threads=threads, keep_cache=True)
-        self.sub = (self.proj.means2d[self.idx], self.proj.conic[self.idx], opacity[self.idx],
-                    values[self.idx])
         return out.astype(means3d.dtype)
 
     def backward(self, g):
-        d_values, _, d_opacity, d_means2d = composite_backward(self.cache, *self.sub, g)
+        d_values, d_opacity, d_means2d = composite_backward(self.cache, g)
         n = self.proj.means2d.shape[0]
         d2d = np.zeros((n, 2))
         gv = np.zeros((n, d_values.shape[1]), dtype=g.dtype)

@@ -120,7 +120,7 @@ def check_nonrigid(seed: int = 5) -> GradReport:
             faces.append([a, a + 1, a + side])
             faces.append([a + 1, a + side + 1, a + side])
     faces = np.asarray(faces, dtype=np.uint32)
-    front, back, bounds = meshraster._map_caches(verts, faces, 16, None)
+    front, back, bounds = meshraster.map_caches(verts, faces, 16)
     delta = rng.normal(scale=0.01, size=(side * side, 3))
     # keep |student - teacher| well above the FD step so the L1 kink
     # never sits inside the central-difference interval
@@ -161,7 +161,7 @@ def check_splat(seed: int = 6) -> GradReport:
             means2d, proj.conic, op, vals, proj.depth, proj.radius, W, H, keep_cache=True
         )
         loss = float((out.astype(np.float64) * g_out).sum())
-        d_values, _, d_op, d_means = composite_backward(cache, means2d, proj.conic, op, vals, g_out)
+        d_values, d_op, d_means = composite_backward(cache, g_out)
         return loss, [d_means, d_op, d_values]
 
     return grad_check(f, [proj.means2d, opacity, values], TOL_SPLAT, seed=seed)

@@ -72,13 +72,14 @@ def test_render_zero_bundle_matches_no_bundle(workdir):
 
 
 def test_render_relight_requires_normals(workdir):
-    assert run(["render", "--template", str(workdir / "rig.tpl"),
-                "--texture", str(workdir / "tex.gtx"), "--res", "48x48",
-                "--relight", "0,0,1", "--out", str(workdir / "r.ppm")]) == 3
-    assert run(["render", "--template", str(workdir / "rig.tpl"),
-                "--texture", str(workdir / "tex.gtx"), "--res", "48x48",
-                "--channels", "color,alpha,normal",
-                "--relight", "0,0,1", "--out", str(workdir / "r.ppm")]) == 0
+    # --relight alone renders the normals it shades with; --channels is gone
+    args = ["render", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
+            "--res", "48x48"]
+    assert run(args + ["--relight", "0,0,1", "--out", str(workdir / "r.ppm")]) == 0
+    assert run(args + ["--out", str(workdir / "unlit.ppm")]) == 0
+    assert (workdir / "r.ppm").read_bytes() != (workdir / "unlit.ppm").read_bytes()
+    assert run(args + ["--channels", "color,alpha,normal", "--relight", "0,0,1",
+                       "--out", str(workdir / "r.ppm")]) == 2
 
 
 def test_animate_writes_all_frames(workdir, capsys):

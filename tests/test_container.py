@@ -99,7 +99,7 @@ def test_dmap_roundtrip(tmp_path, clothed_rig):
     from meshsplat import splat
 
     attrs = np.random.default_rng(0).normal(size=clothed_rig.vertices.shape).astype(np.float32)
-    dmap = splat.deformation_maps(clothed_rig, attrs, resolution=32)
+    dmap = splat.apply_map_caches(*splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 32), attrs)
     path = tmp_path / "d.dmap"
     assets.save_dmap(dmap, path)
     again = assets.load_dmap(path)

@@ -245,9 +245,9 @@ def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, c
     assert np.abs(got - ref).max() <= 1e-12
 
     g = rng.normal(size=got.shape)
-    grads = splat.composite_backward(cache, *args[:4], g)
-    want = reference_composite_backward(ref_cache, *args[:4], g)
-    for a, b in zip(grads, want):
+    grads = splat.composite_backward(cache, g)
+    d_values, _, d_opacity, d_means = reference_composite_backward(ref_cache, *args[:4], g)
+    for a, b in zip(grads, (d_values, d_opacity, d_means)):
         assert np.abs(b).max() > 0
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -281,8 +281,9 @@ def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture)
     out, cache = splat.composite(*args, keep_cache=True)
     _, ref_cache = reference_composite(*args)
     g = np.random.default_rng(12).normal(size=out.shape)
-    got = splat.composite_backward(cache, *args[:4], g)
-    want = reference_composite_backward(ref_cache, *args[:4], g)
+    got = splat.composite_backward(cache, g)
+    d_values, _, d_opacity, d_means = reference_composite_backward(ref_cache, *args[:4], g)
+    want = (d_values, d_opacity, d_means)
 
     B, G, C = tiles.STOP_BOUND, np.abs(g).max(), values.shape[1]
     D = (C + 1) * B * G * (1.0 + 1.0 / (1.0 - tiles.W_MAX))
@@ -290,7 +291,7 @@ def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture)
     n_px = tiles.TILE ** 2 * np.bincount(gauss_of, minlength=len(values))  # 96 px: whole tiles
     a, b, c = conic[:, 0], conic[:, 1], conic[:, 2]
     lam_max = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    bounds = (n_px[:, None] * B * G, n_px * B * G, n_px * D, (3.0 * np.sqrt(lam_max) * n_px * D)[:, None])
+    bounds = (n_px[:, None] * B * G, n_px * D, (3.0 * np.sqrt(lam_max) * n_px * D)[:, None])
     for got_i, want_i, bound in zip(got, want, bounds):
         rounding = 1e-12 * np.abs(want_i).max()
         assert (np.abs(got_i - want_i) <= bound + rounding).all()
@@ -423,10 +424,27 @@ def test_splat_render_matches_render_and_backprojects_mean_grads():
     _, cache = splat.composite(*sub, proj.depth[idx].astype(np.float32), proj.radius[idx],
                                *cam.resolution, keep_cache=True)
     d_means2d = np.zeros_like(proj.means2d)
-    d_means2d[idx] = splat.composite_backward(cache, *sub, g)[3]
+    d_means2d[idx] = splat.composite_backward(cache, g)[2]
     expected = splat.backproject_mean_grads(proj, d_means2d)
     assert np.array_equal(means.grad, expected)
     assert np.abs(expected).max() > 0
+
+
+def test_splat_render_empty_view_gives_zero_image_and_gradients():
+    """Every Gaussian behind the camera: ``composite`` gets none, and the
+    backward returns zero gradients of the input shapes."""
+    from meshsplat.train import engine, ops
+
+    rng = np.random.default_rng(14)
+    wg = _random_cloud(rng, 12)
+    wg.means[:, 1] += 4.0  # the camera sits at y=3 looking toward -y
+    params = [engine.Tensor(x.astype(np.float64), requires_grad=True)
+              for x in (wg.means, wg.color, wg.opacity)]
+    img = ops.splat_render(*params, _front_camera(), wg.rot_mats, wg.scales)
+    assert img.data.shape == (64, 64, 4) and not img.data.any()
+    (img * engine.constant(rng.normal(size=img.data.shape))).sum().backward()
+    for p in params:
+        assert p.grad.shape == p.data.shape and not p.grad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +454,8 @@ def test_splat_render_matches_render_and_backprojects_mean_grads():
 def test_mesh_map_constant_attribute(clothed_rig):
     c = np.array([0.3, -1.2, 2.5], dtype=np.float32)
     attrs = np.tile(c, (clothed_rig.num_vertices, 1))
-    img, mask, _ = splat.rasterize_mesh_map(clothed_rig.vertices, clothed_rig.faces, attrs,
-                                            "front", 64)
+    front, _, _ = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 64)
+    img, mask = front.apply(attrs)
     assert mask.any()
     assert np.abs(img[mask] - c).max() < 1e-6
     assert np.all(img[~mask] == 0)
@@ -451,7 +469,8 @@ def test_mesh_map_quad_positions_match_pixel_centers():
     faces = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.uint32)
     res = 32
     bounds = np.array([-1.0, 1.0, 0.0, 2.0], dtype=np.float32)
-    img, mask, _ = splat.rasterize_mesh_map(verts, faces, verts, "front", res, bounds=bounds)
+    front, _, _ = splat.map_caches(verts, faces, res, bounds=bounds)
+    img, mask = front.apply(verts)
     rows, cols = np.nonzero(mask)
     xs = -1.0 + (cols + 0.5) / res * 2.0
     zs = 2.0 - (rows + 0.5) / res * 2.0
@@ -463,7 +482,7 @@ def test_mesh_map_quad_positions_match_pixel_centers():
 
 def test_mesh_map_front_back_silhouettes_match_closed_mesh(rig):
     attrs = np.ones_like(rig.vertices)
-    dm = splat.deformation_maps(rig, attrs, resolution=64)
+    dm = splat.apply_map_caches(*splat.map_caches(rig.vertices, rig.faces, 64), attrs)
     assert np.array_equal(dm.front_mask, dm.back_mask)
 
 
@@ -472,10 +491,8 @@ def test_mesh_map_linear_in_attributes(clothed_rig):
     a = rng.normal(size=clothed_rig.vertices.shape).astype(np.float32)
     b = rng.normal(size=clothed_rig.vertices.shape).astype(np.float32)
     res = 48
-    bounds = splat.map_bounds(clothed_rig.vertices)
-    ia, _, _ = splat.rasterize_mesh_map(clothed_rig.vertices, clothed_rig.faces, a, "front", res, bounds)
-    ib, _, _ = splat.rasterize_mesh_map(clothed_rig.vertices, clothed_rig.faces, b, "front", res, bounds)
-    iab, _, _ = splat.rasterize_mesh_map(clothed_rig.vertices, clothed_rig.faces, a + b, "front", res, bounds)
+    front, _, _ = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, res)
+    (ia, _), (ib, _), (iab, _) = front.apply(a), front.apply(b), front.apply(a + b)
     assert np.abs((ia + ib) - iab).max() < 1e-4
 
 
@@ -517,7 +534,7 @@ def _with_reference(monkeypatch, fn, *args):
 @pytest.mark.parametrize("res", [32, 96])
 def test_rasterize_matches_reference_on_maps(request, monkeypatch, rig_name, res):
     template = request.getfixturevalue(rig_name)
-    got, want = _with_reference(monkeypatch, splat.map_caches, template, res)
+    got, want = _with_reference(monkeypatch, splat.map_caches, template.vertices, template.faces, res)
     _assert_same_cache(got[0], want[0])
     _assert_same_cache(got[1], want[1])
     assert got[0].pix_rows.size > 0
@@ -585,7 +602,7 @@ def test_rasterize_chunk_winners_merge(monkeypatch, clothed_rig, chunk):
 
 
 def test_raster_backward_matches_add_at_reference(clothed_rig):
-    front, back, _ = splat.map_caches(clothed_rig, 48)
+    front, back, _ = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 48)
     d_img = np.random.default_rng(8).normal(size=(48, 48, 3)).astype(np.float32)
     for cache in (front, back):
         got = cache.backward(d_img)
@@ -601,7 +618,7 @@ def test_mesh_raster_rejects_non_finite_vertices(clothed_rig):
         splat.rasterize_mesh_camera(verts, clothed_rig.faces, verts, cam)
     bounds = splat.map_bounds(clothed_rig.vertices)
     with pytest.raises(assets.ValidationError, match=r"non-finite vertex at indices \[5, 40\]"):
-        splat.rasterize_mesh_map(verts, clothed_rig.faces, verts, "front", 16, bounds)
+        splat.map_caches(verts, clothed_rig.faces, 16, bounds)
 
 
 # ---------------------------------------------------------------------------

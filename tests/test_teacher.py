@@ -25,8 +25,9 @@ def test_teacher_maps_match_deformation_maps(clothed_rig, clothed_texture, motio
     src = teacher.procedural_teacher(clothed_rig, clothed_texture, motion,
                                      field="sway", amplitude=0.1, seed=4, map_resolution=40)
     f = teacher.make_field(clothed_rig, "sway", 0.1, seed=4)
+    caches = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 40)
     for frame, tf in zip(motion.frames, src.frames):
-        want = splat.deformation_maps(clothed_rig, f(frame.theta), resolution=40)
+        want = splat.apply_map_caches(*caches, f(frame.theta))
         for name in ("front", "back", "front_mask", "back_mask", "bounds"):
             a, b = getattr(tf.dmap, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -54,24 +54,21 @@ def test_normal_loss_masked_mean():
 
 def test_nonrigid_constant_offset_normalization(clothed_rig):
     res = 48
-    bounds = splat.map_bounds(clothed_rig.vertices)
     zero = np.zeros_like(clothed_rig.vertices)
-    dmap = splat.deformation_maps(clothed_rig, zero, resolution=res, bounds=bounds)
+    dmap = splat.apply_map_caches(*splat.map_caches(clothed_rig.vertices, clothed_rig.faces, res), zero)
     c = 0.37
-    front_cache, back_cache, _ = splat.map_caches(clothed_rig, res, bounds)
     student_f = engine.constant(dmap.front + c)  # offset the front side only
     student_b = engine.constant(dmap.back)
     val = float(losses.loss_nonrigid(student_f, student_b, dmap).data)
     nf = int(dmap.front_mask.sum())
     nb = int(dmap.back_mask.sum())
     assert abs(val - c * nf / (nf + nb)) < 1e-6
-    del front_cache, back_cache
 
 
 def test_nonrigid_zero_when_equal(clothed_rig):
     rng = np.random.default_rng(3)
     delta = rng.normal(size=clothed_rig.vertices.shape).astype(np.float32)
-    dmap = splat.deformation_maps(clothed_rig, delta, resolution=32)
+    dmap = splat.apply_map_caches(*splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 32), delta)
     val = losses.loss_nonrigid(engine.constant(dmap.front), engine.constant(dmap.back), dmap)
     assert float(val.data) == 0.0
 
