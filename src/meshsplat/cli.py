@@ -65,7 +65,6 @@ def _train_config(args, weights, **bake_only) -> "train_mod.TrainConfig":
     return train_mod.TrainConfig(
         iterations=args.iterations,
         batch_size=args.batch_size,
-        map_resolution=args.map_res,
         weights=weights,
         threads=args.threads,
         **bake_only,
@@ -220,7 +219,8 @@ def cmd_bake(args) -> int:
     _run_preflight_gate(args)
     weights = train_mod.LossWeights(ssim=args.lambda_ssim, lpips=args.lambda_lpips, nor=args.lambda_nor,
                                     non=args.lambda_non, sem=args.lambda_sem)
-    cfg = _train_config(args, weights, tau=args.tau, freeze_embeddings=args.freeze_embeddings)
+    cfg = _train_config(args, weights, tau=args.tau, freeze_embeddings=args.freeze_embeddings,
+                        map_resolution=args.map_res)
     try:
         bundle, tex2, history = train_mod.bake(t, tex, bundle, src, motion, cfg)
     except train_mod.TrainingDiverged as e:

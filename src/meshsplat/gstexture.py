@@ -36,14 +36,6 @@ class DegenerateTriangleError(ValidationError):
         super().__init__(f"{message}: triangle indices {self.indices[:16].tolist()}")
 
 
-@dataclass
-class TriangleFrame:
-    p: np.ndarray  # [3] surface point
-    R: np.ndarray  # [3,3] rotation, columns [n, q, n x q]
-    e: float       # mean edge length
-    n: np.ndarray  # [3] unit normal
-
-
 def triangle_frames(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-face (R, e, n) for a (posed) mesh.
 
@@ -73,16 +65,6 @@ def triangle_frames(verts: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, n
     e = (np.linalg.norm(v1 - v2, axis=1) + np.linalg.norm(v2 - v3, axis=1)
          + np.linalg.norm(v1 - v3, axis=1)) / 3.0
     return R, e, n
-
-
-def triangle_frame(v1, v2, v3, uv) -> TriangleFrame:
-    """Single-triangle frame; see ``triangle_frames`` for conventions."""
-    verts = np.stack([v1, v2, v3]).astype(np.float64)
-    faces = np.array([[0, 1, 2]], dtype=np.int64)
-    R, e, n = triangle_frames(verts, faces)
-    u, v = float(uv[0]), float(uv[1])
-    p = u * verts[0] + v * verts[1] + (1.0 - u - v) * verts[2]
-    return TriangleFrame(p=p, R=R[0], e=float(e[0]), n=n[0])
 
 
 def surface_points(verts: np.ndarray, faces: np.ndarray, face_idx: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -122,16 +104,6 @@ def sh_basis(direction: np.ndarray, degree: int) -> np.ndarray:
             SH_C3[6] * x * (xx - 3.0 * yy),
         ]
     return np.stack(terms, axis=-1)
-
-
-def sh_eval(sh: np.ndarray, direction: np.ndarray, degree: int | None = None) -> np.ndarray:
-    """Evaluate SH color along unit directions; DC offset +0.5, no clamp."""
-    if degree is None:
-        degree = int(np.sqrt(sh.shape[-1])) - 1
-    d = np.linalg.norm(direction, axis=-1)
-    if np.abs(d - 1.0).max() > 1e-6:
-        raise ValidationError("sh_eval expects unit directions")
-    return sh_apply(sh, sh_basis(direction, degree))
 
 
 def sh_apply(sh: np.ndarray, basis: np.ndarray) -> np.ndarray:

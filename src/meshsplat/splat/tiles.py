@@ -18,13 +18,28 @@ list runs out. Until a pixel stops, its sum is the dense per-pixel
 composite over the same order: tiling prunes only zero contributions,
 and the carried T is the dense running product bit for bit.
 
+Weights are evaluated in tile-local coordinates. With (u, v) a pixel
+centre and (du, dv) a Gaussian's mean, both relative to the tile centre,
+the exponent -0.5 * mahalanobis^2 is a quadratic in (u, v): a row of six
+per-Gaussian coefficients (``_exponent_coefs``) times the pixel's
+monomials [1, u, v, u^2, v^2, uv] (``FEATURES``, one constant for every
+full tile). A chunk's exponents are one [n, 6] @ [6, m] BLAS product, and
+the cutoff, exp, opacity and clamp run in place on that buffer. The
+expansion rounds differently from the direct form by a few ulps of its
+constant term, which is at most 0.5 * (3 + 8 * sqrt(2 / EIG_FLOOR))^2,
+about 280, wherever a weight is non-zero: the weights agree with the
+direct form to about 1e-13.
+
 The cache keeps the float64 inputs that were composited, and each
 chunk's Gaussians, alive pixels, weights and exclusive transmittance, so
 the backward pass needs only the image gradient. It walks a tile's
 chunks back to front, carrying each pixel's suffix sum over the later
 chunks, and emits the exact gradient of the truncated forward for
 per-Gaussian channel values, opacities, and 2D means (the weight
-exponent path); the 2D covariance is held fixed.
+exponent path); the 2D covariance is held fixed. The opacity and mean
+gradients need dL/dw * w only through its moments M over [1, u, v], one
+[n, m] @ [m, 3] product: dL/dopacity = M_1 / opacity and
+dL/dmean = conic @ ((M_u, M_v) - (du, dv) * M_1).
 """
 
 from __future__ import annotations
@@ -57,23 +72,45 @@ class TileCache:
                          # chunk: (ids [n], alive px [m], w [n, m], t_excl [n, m])
 
 
-def _tile_pixel_centers(x0: int, y0: int, width: int, height: int):
-    w = min(TILE, width - x0)
-    h = min(TILE, height - y0)
-    xs = x0 + 0.5 + np.arange(w)
-    ys = y0 + 0.5 + np.arange(h)
-    px = np.stack(np.meshgrid(xs, ys), axis=0).reshape(2, -1)  # [2, h*w]
-    return px, w, h
+# Pixel centres of a full tile relative to its centre, (u, v), and the
+# monomials [1, u, v, u^2, v^2, uv] of each: the exponent of any Gaussian
+# over a tile is one row of coefficients times these columns. An edge
+# tile takes the columns of the pixels it has.
+_U, _V = np.stack(np.meshgrid(np.arange(TILE), np.arange(TILE))).reshape(2, -1) + 0.5 - TILE / 2
+FEATURES = np.stack([np.ones(TILE * TILE), _U, _V, _U * _U, _V * _V, _U * _V])  # [6, TILE^2]
 
 
-def _weights(means2d, conic, opacity, px):
-    """w = alpha * exp(power) truncated at the 3-sigma cutoff. [n, npx]."""
-    dx = px[0][None, :] - means2d[:, 0:1]
-    dy = px[1][None, :] - means2d[:, 1:2]
-    power = -0.5 * (conic[:, 0:1] * dx * dx + conic[:, 2:3] * dy * dy) - conic[:, 1:2] * dx * dy
-    w = opacity[:, None] * np.exp(power)
-    w[power < -0.5 * CUTOFF_SIGMA_SQ] = 0.0
-    return np.minimum(w, W_MAX)
+def _tile_features(w_px: int, h_px: int) -> np.ndarray:
+    """``FEATURES`` of the pixels of a tile ``w_px`` wide and ``h_px`` high
+    (a view for a full tile)."""
+    return FEATURES.reshape(6, TILE, TILE)[:, :h_px, :w_px].reshape(6, -1)
+
+
+def _tile_offsets(means, x0: int, y0: int) -> np.ndarray:
+    """Means relative to the centre of the tile at (x0, y0), the origin of
+    ``FEATURES``'s (u, v). [n, 2]."""
+    return means - (x0 + TILE / 2, y0 + TILE / 2)
+
+
+def _exponent_coefs(conic, offset):
+    """[n, 6] coefficients K with ``K @ FEATURES`` = -0.5 * mahalanobis^2,
+    for means at ``offset`` [n, 2] from the tile centre."""
+    a, b, c = conic[:, 0], conic[:, 1], conic[:, 2]
+    du, dv = offset[:, 0], offset[:, 1]
+    return np.stack([-0.5 * (a * du * du + c * dv * dv) - b * du * dv,
+                     a * du + b * dv, c * dv + b * du, -0.5 * a, -0.5 * c, -b], axis=1)
+
+
+def _weights(coefs, opacity, feats):
+    """w = opacity * exp(coefs @ feats) truncated at the 3-sigma cutoff and
+    clamped to ``W_MAX``. [n, m], built in place on the one exponent buffer."""
+    w = coefs @ feats
+    inside = w >= -0.5 * CUTOFF_SIGMA_SQ
+    np.exp(w, out=w)
+    w *= opacity[:, None]
+    w *= inside  # a product, not a masked store: same bits, fewer branches
+    np.minimum(w, W_MAX, out=w)
+    return w
 
 
 def bin_gaussians(means2d, radius, depth, width, height):
@@ -140,35 +177,38 @@ def composite(
     ends = np.concatenate([boundaries, [tile_of.size]])
     ntx = (width + TILE - 1) // TILE
     v_max = np.abs(val64).max(initial=1.0)
+    val_ext = np.concatenate([val64, np.ones((n, 1))], axis=1)  # alpha composites a 1
 
     def run_tile(k):
         t = int(tile_of[starts[k]])
         ty, tx = divmod(t, ntx)
-        px, w_px, h_px = _tile_pixel_centers(tx * TILE, ty * TILE, width, height)
-        trans = np.ones(px.shape[1])
-        acc = np.zeros((n_values + 1, px.shape[1]))
-        alive = np.arange(px.shape[1])
+        x0, y0 = tx * TILE, ty * TILE
+        w_px, h_px = min(TILE, width - x0), min(TILE, height - y0)
+        feats = _tile_features(w_px, h_px)
+        trans = np.ones(w_px * h_px)
+        acc = np.zeros((n_values + 1, w_px * h_px))
+        alive = np.arange(w_px * h_px)
         chunks = []
         s, size = starts[k], CHUNK
         while s < ends[k] and alive.size:
             ids = gauss_of[s : min(s + size, ends[k])]
             s, size = s + size, 2 * size
-            w = _weights(means64[ids], conic64[ids], op64[ids], px[:, alive])
+            coefs = _exponent_coefs(conic64[ids], _tile_offsets(means64[ids], x0, y0))
+            w = _weights(coefs, op64[ids], feats[:, alive])
             # the carried T heads the running product, which then rounds
             # exactly as one product over the whole list would
-            run = np.cumprod(np.concatenate([trans[alive][None], 1.0 - w]), axis=0)
+            run = np.empty((ids.size + 1, alive.size))
+            run[0] = trans[alive]
+            np.subtract(1.0, w, out=run[1:])
+            np.multiply.accumulate(run, axis=0, out=run)
             t_excl = run[:-1]
-            contrib = w * t_excl  # [n, alive]
-            acc[:n_values, alive] += val64[ids].T @ contrib
-            acc[n_values, alive] += contrib.sum(axis=0)
+            acc[:, alive] += val_ext[ids].T @ (w * t_excl)
             trans[alive] = run[-1]
             if keep_cache:
                 chunks.append((ids, alive, w, t_excl))
             alive = alive[run[-1] * v_max > STOP_BOUND]
-        out[ty * TILE : ty * TILE + h_px, tx * TILE : tx * TILE + w_px] = (
-            acc.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0)
-        )
-        return (tx * TILE, ty * TILE, chunks) if keep_cache else None
+        out[y0 : y0 + h_px, x0 : x0 + w_px] = acc.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0)
+        return (x0, y0, chunks) if keep_cache else None
 
     idxs = range(len(starts))
     if threads > 1:
@@ -198,14 +238,15 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
     val_ext = np.concatenate([cache.values, np.ones((n, 1))], axis=1)
 
     for (x0, y0, chunks) in cache.tiles:
-        px, w_px, h_px = _tile_pixel_centers(x0, y0, cache.width, cache.height)
+        w_px, h_px = min(TILE, cache.width - x0), min(TILE, cache.height - y0)
+        feats = _tile_features(w_px, h_px)[:3]
         g_tile = (
             d_out[y0 : y0 + h_px, x0 : x0 + w_px]
             .astype(np.float64)
             .transpose(2, 0, 1)
             .reshape(n_values + 1, -1)
         )  # [C+1, npx]
-        later = np.zeros(px.shape[1])  # per pixel: sum of contrib * p over later chunks
+        later = np.zeros(w_px * h_px)  # per pixel: sum of contrib * p over later chunks
         for ids, alive, w, t_excl in reversed(chunks):
             g = g_tile[:, alive]
             contrib = w * t_excl
@@ -217,21 +258,28 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             # strict suffix sum of contrib * P; the later chunks' sum heads
             # the running sum, which then rounds as one over the whole list
             p = val_ext[ids] @ g  # [n_i, alive]
-            m = contrib * p
-            run = np.cumsum(np.concatenate([later[alive][None], m[::-1]]), axis=0)
+            m = np.multiply(contrib, p, out=contrib)
+            run = np.empty((ids.size + 1, alive.size))
+            run[0] = later[alive]
+            run[1:] = m[::-1]
+            np.cumsum(run, axis=0, out=run)
             later[alive] = run[-1]
-            d_w = p * t_excl - (run[:0:-1] - m) / (1.0 - w)
-            d_w[w >= W_MAX] = 0.0  # clamp boundary
-            d_w[w == 0.0] = 0.0
+            suffix = run[:0:-1]
+            suffix -= m
+            suffix /= 1.0 - w
+            p *= t_excl
+            p -= suffix  # dL/dw
+            dww = np.multiply(p, w, out=p)  # dL/dw * w, zero wherever w is
+            dww[w >= W_MAX] = 0.0  # clamp boundary
 
-            d_opacity[ids] += (d_w * (w / op64[ids][:, None])).sum(axis=1)
-
-            dx = px[0, alive][None, :] - means64[ids, 0:1]
-            dy = px[1, alive][None, :] - means64[ids, 1:2]
-            gx = conic64[ids, 0:1] * dx + conic64[ids, 1:2] * dy
-            gy = conic64[ids, 1:2] * dx + conic64[ids, 2:3] * dy
-            dww = d_w * w
-            d_means[ids, 0] += (dww * gx).sum(axis=1)
-            d_means[ids, 1] += (dww * gy).sum(axis=1)
+            # w = op exp(K F), so dL/dop = sum_px dww / op and dL/dmean =
+            # conic (x - mean) summed against dww: both from the moments of
+            # dww over the tile-local pixel coordinates [1, u, v]
+            mom = dww @ feats[:, alive].T  # [n_i, 3]
+            d_opacity[ids] += mom[:, 0] / op64[ids]
+            r = mom[:, 1:] - _tile_offsets(means64[ids], x0, y0) * mom[:, :1]
+            cn = conic64[ids]
+            d_means[ids, 0] += cn[:, 0] * r[:, 0] + cn[:, 1] * r[:, 1]
+            d_means[ids, 1] += cn[:, 1] * r[:, 0] + cn[:, 2] * r[:, 1]
 
     return d_values, d_opacity, d_means

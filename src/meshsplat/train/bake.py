@@ -337,6 +337,19 @@ def bake(
 # fine-tuning
 
 
+def _reject_bake_only_settings(config: TrainConfig) -> None:
+    """``finetune`` reads no map, semantic, normal or embedding setting:
+    one set away from its default would silently do nothing."""
+    default = TrainConfig()
+    names = [f for f in ("tau", "map_resolution", "freeze_embeddings")
+             if getattr(config, f) != getattr(default, f)]
+    names += [f"weights.{f}" for f in ("nor", "non", "sem")
+              if getattr(config.weights, f) != getattr(default.weights, f)]
+    if names:
+        raise ValidationError(f"finetune does not read the bake-only settings {', '.join(names)}; "
+                              "leave them at their defaults")
+
+
 def finetune(
     template: RiggedTemplate,
     texture: GaussianTexture,
@@ -364,6 +377,7 @@ def finetune(
     Gaussian scale, for ``blend_pos``.
     """
     config.validate()
+    _reject_bake_only_settings(config)
     bundle.validate_for(template, texture)
     weights = config.weights
     if len(gt_frames) != len(sequence):

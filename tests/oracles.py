@@ -5,15 +5,42 @@ no tiling or binning; the dense tile compositor evaluates every pixel
 of a tile against its whole depth list, with no early stop; the SH table
 spells out the real basis polynomials with their normalization constants
 in closed form; the mesh rasterizer reference fills a z-buffer one
-triangle at a time.
+triangle at a time. The weights of the dense references use the direct
+per-pixel exponent, not the package's tile-local quadratic form.
+
+Also here, for the tests only: single-triangle and single-direction
+wrappers of the package's batched binding and SH functions.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from meshsplat.splat.tiles import TILE, _tile_pixel_centers, _weights, bin_gaussians
+from meshsplat.assets import ValidationError
+from meshsplat.gstexture import sh_apply, sh_basis, triangle_frames
+from meshsplat.splat.tiles import TILE, bin_gaussians
 
 CUTOFF = 9.0
 W_MAX = 0.999
+
+
+def _tile_pixel_centers(x0: int, y0: int, width: int, height: int):
+    w = min(TILE, width - x0)
+    h = min(TILE, height - y0)
+    xs = x0 + 0.5 + np.arange(w)
+    ys = y0 + 0.5 + np.arange(h)
+    px = np.stack(np.meshgrid(xs, ys), axis=0).reshape(2, -1)  # [2, h*w]
+    return px, w, h
+
+
+def _weights(means2d, conic, opacity, px):
+    """w = alpha * exp(power) truncated at the 3-sigma cutoff. [n, npx]."""
+    dx = px[0][None, :] - means2d[:, 0:1]
+    dy = px[1][None, :] - means2d[:, 1:2]
+    power = -0.5 * (conic[:, 0:1] * dx * dx + conic[:, 2:3] * dy * dy) - conic[:, 1:2] * dx * dy
+    w = opacity[:, None] * np.exp(power)
+    w[power < -0.5 * CUTOFF] = 0.0
+    return np.minimum(w, W_MAX)
 
 
 def brute_force_composite(means2d, conic, opacity, values, depth, width, height):
@@ -196,3 +223,31 @@ def reference_raster_backward(cache, d_img):
     for k in range(3):
         np.add.at(d_attrs, cache.vidx[:, k], cache.weights[:, k : k + 1] * g)
     return d_attrs
+
+
+@dataclass
+class TriangleFrame:
+    p: np.ndarray  # [3] surface point
+    R: np.ndarray  # [3,3] rotation, columns [n, q, n x q]
+    e: float       # mean edge length
+    n: np.ndarray  # [3] unit normal
+
+
+def triangle_frame(v1, v2, v3, uv) -> TriangleFrame:
+    """Single-triangle frame; see ``gstexture.triangle_frames`` for conventions."""
+    verts = np.stack([v1, v2, v3]).astype(np.float64)
+    faces = np.array([[0, 1, 2]], dtype=np.int64)
+    R, e, n = triangle_frames(verts, faces)
+    u, v = float(uv[0]), float(uv[1])
+    p = u * verts[0] + v * verts[1] + (1.0 - u - v) * verts[2]
+    return TriangleFrame(p=p, R=R[0], e=float(e[0]), n=n[0])
+
+
+def sh_eval(sh: np.ndarray, direction: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """Evaluate SH color along unit directions; DC offset +0.5, no clamp."""
+    if degree is None:
+        degree = int(np.sqrt(sh.shape[-1])) - 1
+    d = np.linalg.norm(direction, axis=-1)
+    if np.abs(d - 1.0).max() > 1e-6:
+        raise ValidationError("sh_eval expects unit directions")
+    return sh_apply(sh, sh_basis(direction, degree))

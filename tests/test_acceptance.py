@@ -298,8 +298,7 @@ def test_criterion_6_finetune_reproduction():
         planted = _plant_bundle(base_bundle, rig, tex, kind, seed=31)
         gt = _render_set(rig, tex, planted, mot)
         frozen_l1 = _mean_l1(rig, tex, base_bundle, mot, gt)
-        cfg = train.TrainConfig(iterations=400, map_resolution=MAP_RES,
-                                weights=train.LossWeights(sem=0.0, non=0.0))
+        cfg = train.TrainConfig(iterations=400)
         tuned, _ = train.finetune(rig, tex, base_bundle, gt, mot, cfg)
         tuned_l1 = _mean_l1(rig, tex, tuned, mot, gt)
         results[kind] = (frozen_l1, tuned_l1, 1.0 - tuned_l1 / frozen_l1)

@@ -6,13 +6,11 @@ from meshsplat.gstexture import (
     DegenerateTriangleError,
     init_texture,
     local_to_world,
-    sh_eval,
-    triangle_frame,
     triangle_frames,
 )
 from meshsplat.rotations import quat_to_matrix, random_rigid
 
-from oracles import sh_color_oracle
+from oracles import sh_color_oracle, sh_eval, triangle_frame
 
 
 def test_triangle_frame_reference_values():

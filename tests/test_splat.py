@@ -8,6 +8,7 @@ from meshsplat import assets, skinning, splat
 from meshsplat.gstexture import WorldGaussians, local_to_world
 from meshsplat.rotations import axis_angle_to_quat, quat_to_matrix
 from meshsplat.splat import meshraster, tiles
+from meshsplat.splat.projection import EIG_FLOOR
 
 from oracles import (
     brute_force_composite,
@@ -172,9 +173,9 @@ def _count_weight_evals(monkeypatch):
     evaluates; returns the running count in a one-element list."""
     count, weights = [0], tiles._weights
 
-    def counted(means2d, conic, opacity, px):
-        count[0] += means2d.shape[0] * px.shape[1]
-        return weights(means2d, conic, opacity, px)
+    def counted(coefs, opacity, feats):
+        count[0] += coefs.shape[0] * feats.shape[1]
+        return weights(coefs, opacity, feats)
 
     monkeypatch.setattr(tiles, "_weights", counted)
     return count
@@ -228,20 +229,16 @@ def test_early_stop_stays_within_bound_on_saturating_shell(monkeypatch, clothed_
         assert (np.abs(tile - want) <= slack[y0:y0 + 16, x0:x0 + 16]).all()
 
 
-@pytest.mark.parametrize("chunk", [tiles.CHUNK, 1, 7])
-def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, chunk):
-    monkeypatch.setattr(tiles, "CHUNK", chunk)
-    rng = np.random.default_rng(11)
-    wg = _random_cloud(rng, 80)
-    cam = _front_camera(res=(96, 80))
-    args = _composite_args(wg, cam)
-    evals = _count_weight_evals(monkeypatch)
+def _assert_equals_reference_where_no_pixel_stops(args, rng):
+    """``composite`` and ``composite_backward`` against the dense oracle
+    where no pixel stops: the image within 1e-12 and each of the three
+    gradients within 1e-12 of its largest entry. Returns the gradients."""
     got, cache = splat.composite(*args, keep_cache=True)
     ref, ref_cache = reference_composite(*args)
     v_max = max(1.0, np.abs(args[3]).max())
     assert ((1.0 - ref[..., -1]) * v_max).min() > tiles.STOP_BOUND
-    assert evals[0] == _dense_evals(args)
-    # equal up to the order of float64 summation across chunks
+    # equal up to float64 rounding: the summation order across chunks and
+    # the tile-local expansion of the exponent
     assert np.abs(got - ref).max() <= 1e-12
 
     g = rng.normal(size=got.shape)
@@ -250,6 +247,58 @@ def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, c
     for a, b in zip(grads, (d_values, d_opacity, d_means)):
         assert np.abs(b).max() > 0
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    return grads
+
+
+@pytest.mark.parametrize("chunk", [tiles.CHUNK, 1, 7])
+def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, chunk):
+    monkeypatch.setattr(tiles, "CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    wg = _random_cloud(rng, 80)
+    cam = _front_camera(res=(96, 80))
+    args = _composite_args(wg, cam)
+    evals = _count_weight_evals(monkeypatch)
+    _assert_equals_reference_where_no_pixel_stops(args, rng)
+    assert evals[0] == _dense_evals(args)
+
+
+def _conics_2d(sigmas, angles):
+    """``composite``'s conic and radius for 2D Gaussians with principal
+    standard deviations ``sigmas`` [n, 2] (px) and axis angles [n]."""
+    c, s = np.cos(angles), np.sin(angles)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    cov = rot @ (sigmas[:, :, None] ** 2 * np.eye(2)) @ rot.transpose(0, 2, 1)
+    inv = np.linalg.inv(cov)
+    return np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 1]], axis=1), 3.0 * sigmas.max(axis=1)
+
+
+@pytest.mark.parametrize("case", ["wide_far", "thin_floor", "edge_tiles"])
+def test_tile_local_form_matches_reference_on_cancellation_cases(case):
+    # the exponent is expanded about each tile's centre, so its constant
+    # and linear terms grow with the mean's distance from the tile and
+    # with the conic; a 90x70 image also has partial tiles on two sides
+    rng = np.random.default_rng(13)
+    width, height = 90, 70
+    n = 24
+    means2d = rng.uniform((0, 0), (width, height), size=(n, 2))
+    sigmas = rng.uniform(1.5, 6.0, size=(n, 2))
+    angles = rng.uniform(0, np.pi, size=n)
+    if case == "wide_far":  # two wide Gaussians centred 100+ px off the image
+        means2d[:2] = [(-110.0, 35.0), (45.0, 180.0)]
+        sigmas[:2] = [(70.0, 50.0), (40.0, 65.0)]
+    elif case == "thin_floor":  # long, and as thin as projection allows
+        sigmas[:8] = np.stack([np.full(8, np.sqrt(EIG_FLOOR)), rng.uniform(15, 40, 8)], 1)
+    else:  # every Gaussian centred in the partial right column or bottom row
+        right = rng.random(n) < 0.5
+        means2d[right, 0] = rng.uniform(80, 90, right.sum())
+        means2d[~right, 1] = rng.uniform(64, 70, (~right).sum())
+    conic, radius = _conics_2d(sigmas, angles)
+    opacity = rng.uniform(0.2, 0.6, n)
+    values = np.concatenate([rng.random((n, 3)), rng.uniform(2.5, 3.5, (n, 1))], axis=1)
+    args = (means2d, conic, opacity, values, rng.random(n), radius, width, height)
+    _, _, d_means = _assert_equals_reference_where_no_pixel_stops(args, rng)
+    if case == "wide_far":
+        assert (np.abs(d_means[:2]) > 0).all()  # the far Gaussians reach the image
 
 
 def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture):

@@ -318,7 +318,7 @@ def test_finetune_fixed_point_when_gt_matches(tiny_setup):
         gently.append(teacher.TeacherFrame(
             dmap=None, gt_color=res.target.color,
             gt_normal=res.target.normal, gt_mask=res.target.alpha > 0.5))
-    cfg = train.TrainConfig(iterations=12, map_resolution=48)
+    cfg = train.TrainConfig(iterations=12)
     tuned, hist = train.finetune(t, tex, bundle, gently, mot, cfg)
     assert hist[0]["l1"] < 1e-6
     assert np.abs(tuned.blend_pos).max() < 1e-4
@@ -332,7 +332,7 @@ def test_finetune_first_step_bounded_in_output_units(tiny_setup):
     t, tex, mot, src = tiny_setup
     bundle = _bundle_for(t, tex, mot)
     lr = 1e-3
-    cfg = train.TrainConfig(iterations=1, map_resolution=48, lrs={"blend": lr})
+    cfg = train.TrainConfig(iterations=1, lrs={"blend": lr})
     tuned, _ = train.finetune(t, tex, bundle, src.frames, mot, cfg)
     z = [np.abs(deform.blend_coeffs(bundle, f)).sum() for f in mot.frames]
     edge = gstexture.triangle_frames(t.vertices, t.faces)[1][tex.face_idx.astype(np.int64)].mean()
@@ -374,8 +374,7 @@ def test_finetune_batch_record_is_mean_of_frames(tiny_setup):
     bundle = _bundle_for(t, tex, mot)
 
     def hist(iterations, batch_size):
-        cfg = train.TrainConfig(iterations=iterations, batch_size=batch_size, map_resolution=48,
-                                lrs=_FROZEN_LRS)
+        cfg = train.TrainConfig(iterations=iterations, batch_size=batch_size, lrs=_FROZEN_LRS)
         return train.finetune(t, tex, bundle, src.frames, mot, cfg)[1]
 
     r0, r1 = hist(2, 1)
@@ -388,13 +387,28 @@ def test_finetune_nan_gt_aborts_with_input_state(tiny_setup):
     bundle = _bundle_for(t, tex, mot)
     bad = [teacher.TeacherFrame(dmap=None, gt_color=np.full_like(f.gt_color, np.nan),
                                 gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames]
-    cfg = train.TrainConfig(iterations=3, map_resolution=48)
+    cfg = train.TrainConfig(iterations=3)
     with pytest.raises(train.TrainingDiverged) as ei:
         train.finetune(t, tex, bundle, bad, mot, cfg)
     assert ei.value.iteration == 0
     assert np.array_equal(ei.value.bundle.blend_pos, bundle.blend_pos)
     assert np.array_equal(ei.value.bundle.blend_col, bundle.blend_col)
     assert ei.value.texture is tex
+
+
+@pytest.mark.parametrize("setting, name", [
+    ({"tau": 10.0}, "tau"), ({"map_resolution": 48}, "map_resolution"),
+    ({"freeze_embeddings": True}, "freeze_embeddings"),
+    ({"weights": train.LossWeights(nor=0.0)}, "weights.nor"),
+    ({"weights": train.LossWeights(non=0.0)}, "weights.non"),
+    ({"weights": train.LossWeights(sem=0.0)}, "weights.sem"),
+])
+def test_finetune_rejects_bake_only_settings(tiny_setup, setting, name):
+    # finetune reads none of these; a non-default value must not be ignored
+    t, tex, mot, src = tiny_setup
+    cfg = train.TrainConfig(iterations=1, **setting)
+    with pytest.raises(assets.ValidationError, match=name):
+        train.finetune(t, tex, _bundle_for(t, tex, mot), src.frames, mot, cfg)
 
 
 def test_train_config_has_no_inert_fields():
