@@ -405,7 +405,6 @@ class MotionSequence:
 
 def save_motion(motion: MotionSequence, path) -> None:
     motion.validate()
-    T = len(motion.frames)
     sections = {
         "theta": _f32(np.stack([f.theta for f in motion.frames])),
         "epsilon": _f32(np.stack([f.epsilon for f in motion.frames])),
@@ -422,7 +421,6 @@ def save_motion(motion: MotionSequence, path) -> None:
     elif any(f.z is not None for f in motion.frames):
         raise ValidationError("either every frame or no frame may carry an embedding")
     container.write_sections(path, MAGIC_MOTION, sections)
-    del T
 
 
 def load_motion(path) -> MotionSequence:

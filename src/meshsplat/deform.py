@@ -6,7 +6,7 @@ the per-frame pose-to-image pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class StudentBundle:
     n_head: int = N_HEAD
     n_body: int = N_BODY
     precision: str = "fp32"
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_coeffs(self) -> int:
@@ -220,20 +219,16 @@ class PosedFrame:
     """The pose-and-bind half of a frame: everything but the render."""
 
     posed_verts: np.ndarray       # [V,3] f32
-    vertex_delta: np.ndarray      # [V,3] f32 canonical delta, expression offsets included
     skeleton: PosedSkeleton
     world: WorldGaussians
 
 
 @dataclass
 class AnimateResult:
+    """A rendered frame and the world Gaussians it was splatted from."""
+
     target: RenderTarget
-    posed_verts: np.ndarray
-    vertex_delta: np.ndarray
     world: WorldGaussians
-    coeffs: np.ndarray | None
-    delta_u: np.ndarray | None
-    delta_c: np.ndarray | None
 
 
 def expression_offsets(template: RiggedTemplate, epsilon: np.ndarray) -> np.ndarray:
@@ -270,7 +265,7 @@ def pose_frame(
         texture, posed, template.faces,
         delta_u=delta_u, delta_c=delta_c, **view,
     )
-    return PosedFrame(posed_verts=posed, vertex_delta=delta, skeleton=skeleton, world=world)
+    return PosedFrame(posed_verts=posed, skeleton=skeleton, world=world)
 
 
 def animate_frame(
@@ -281,37 +276,25 @@ def animate_frame(
     camera: Camera,
     channels=("color", "alpha"),
     frame_index: int | None = None,
-    extra_vertex_delta: np.ndarray | None = None,
     sort_mode: str = "exact_f32",
     threads: int = 1,
 ) -> AnimateResult:
     """Full per-frame pipeline: the student's non-rigid deltas and
-    blend-shape residuals, ``pose_frame``, then splatting. Intermediates
-    are returned for inspection.
+    blend-shape residuals (none without a bundle), ``pose_frame``, then
+    splatting.
     """
     frame.validate_for(template)
-    delta = coeffs = delta_u = delta_c = None
+    delta = delta_u = delta_c = None
     if bundle is not None:
         bundle.validate_for(template, texture)
         delta = student_deform(bundle, template, frame, frame_index)
         coeffs = blend_coeffs(bundle, frame)
         delta_u = blend_shape_apply(bundle.blend_pos, coeffs)
         delta_c = blend_shape_apply(bundle.blend_col, coeffs)
-    if extra_vertex_delta is not None:
-        extra = extra_vertex_delta.astype(np.float32)
-        delta = extra if delta is None else delta + extra
 
     posed = pose_frame(template, texture, frame, camera, delta, delta_u, delta_c)
     target = splat.render(posed.world, camera, channels=channels, sort_mode=sort_mode, threads=threads)
-    return AnimateResult(
-        target=target,
-        posed_verts=posed.posed_verts,
-        vertex_delta=posed.vertex_delta,
-        world=posed.world,
-        coeffs=coeffs,
-        delta_u=delta_u,
-        delta_c=delta_c,
-    )
+    return AnimateResult(target=target, world=posed.world)
 
 
 # ---------------------------------------------------------------------------

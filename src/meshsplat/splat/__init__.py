@@ -1,5 +1,7 @@
 """Tile-based software Gaussian splatter and mesh rasterizer.
 
+``projection.camera_project`` is the one camera model; the Gaussian
+projection and ``rasterize_mesh_camera`` both call it.
 ``splat_forward`` is the one splat forward pass: project, cull to the
 visible set, order by ``order_key`` (exact f32 or u16-quantized depth)
 and composite. ``render`` (color/alpha/normal/depth/semantic channels)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..assets import Camera, DeformationMap, ValidationError
+from .projection import camera_project
 
 MAP_MARGIN = 0.05  # fractional bbox margin for front/back maps
 _CHUNK_PAIRS = 1 << 17  # (face, pixel) pairs evaluated at once; bounds scratch memory
@@ -227,25 +228,17 @@ def rasterize_mesh_camera(
     attrs: np.ndarray,
     camera: Camera,
 ) -> tuple[np.ndarray, np.ndarray, RasterCache]:
-    """Mesh attribute render under a scene camera (z-buffered)."""
+    """Mesh attribute render under a scene camera (z-buffered).
+
+    Vertices are projected by ``projection.camera_project``, as the
+    splatter's Gaussian means are; a face with any vertex at or behind
+    the near plane is dropped, as the splatter culls Gaussians there.
+    """
     camera.validate()
     _check_finite(verts)
-    W, H = camera.resolution
-    Rc = camera.extrinsic[:3, :3].astype(np.float64)
-    tc = camera.extrinsic[:3, 3].astype(np.float64)
-    x_cam = verts.astype(np.float64) @ Rc.T + tc
+    x_cam, pts2d, _ = camera_project(verts, camera)
     z = x_cam[:, 2]
-    if camera.mode == "perspective":
-        fx, fy, cx, cy = (float(v) for v in camera.params)
-        zs = np.where(np.abs(z) < 1e-9, 1e-9, z)
-        pts2d = np.stack([fx * x_cam[:, 0] / zs + cx, fy * x_cam[:, 1] / zs + cy], axis=1)
-        # drop faces with any vertex behind the near plane
-        behind = z <= camera.near
-        keep = ~behind[faces.astype(np.int64)].any(axis=1)
-        faces = faces[keep]
-    else:
-        ex, ey = float(camera.params[0]), float(camera.params[1])
-        pts2d = np.stack([W / ex * x_cam[:, 0] + 0.5 * W, H / ey * x_cam[:, 1] + 0.5 * H], axis=1)
-    cache = _rasterize(pts2d, z, faces, W, H)
+    keep = ~(z <= camera.near)[faces.astype(np.int64)].any(axis=1)
+    cache = _rasterize(pts2d, z, faces[keep], *camera.resolution)
     img, mask = cache.apply(attrs)
     return img, mask, cache

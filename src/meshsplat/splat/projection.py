@@ -1,4 +1,10 @@
-"""Camera projection of 3D Gaussians to screen space (EWA splatting).
+"""The camera model, and the projection of 3D Gaussians to screen space
+(EWA splatting).
+
+``camera_project`` is the one pinhole/orthographic camera model: the
+splatter projects Gaussian means through it and the mesh rasterizer
+projects vertices through it, so a mesh render and a splat render of
+the same surface land on the same pixels.
 
 Covariance: sigma_world = R S^2 R^T is pushed through the camera rotation
 and the projection Jacobian; projected covariance eigenvalues are
@@ -28,7 +34,6 @@ class Projected:
     radius: np.ndarray     # [N] px, conservative footprint bound
     jac: np.ndarray        # [N,2,3] d means2d / d means3d (camera frame held fixed)
     visible: np.ndarray    # [N] bool, inside the depth range
-    cov2d: np.ndarray      # [N,3] clamped 2D covariance (a, b, c)
 
 
 def camera_center(camera: Camera) -> np.ndarray:
@@ -60,6 +65,39 @@ def _eig_clamp(cov: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([a2, b2, c2], axis=1), l1
 
 
+def camera_project(points: np.ndarray, camera: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World points [N,3] through the camera, in float64.
+
+    Returns (camera-frame coordinates [N,3], pixel coordinates [N,2],
+    d pixel / d world point [N,2,3]). Perspective divides by the camera
+    z (a point at z == 0 is divided by 1e-9 instead); callers cull by
+    depth against ``camera.near``.
+    """
+    Rc = camera.extrinsic[:3, :3].astype(np.float64)
+    tc = camera.extrinsic[:3, 3].astype(np.float64)
+    x_cam = points.astype(np.float64) @ Rc.T + tc
+    z = x_cam[:, 2]
+    jac = np.zeros((points.shape[0], 2, 3))
+    if camera.mode == "perspective":
+        fx, fy, cx, cy = (float(v) for v in camera.params)
+        zs = np.where(z == 0.0, 1e-9, z)
+        px = fx * x_cam[:, 0] / zs + cx
+        py = fy * x_cam[:, 1] / zs + cy
+        jac[:, 0, 0] = fx / zs
+        jac[:, 0, 2] = -fx * x_cam[:, 0] / (zs * zs)
+        jac[:, 1, 1] = fy / zs
+        jac[:, 1, 2] = -fy * x_cam[:, 1] / (zs * zs)
+    else:
+        W, H = camera.resolution
+        ex, ey = float(camera.params[0]), float(camera.params[1])
+        sx, sy = W / ex, H / ey
+        px = sx * x_cam[:, 0] + 0.5 * W
+        py = sy * x_cam[:, 1] + 0.5 * H
+        jac[:, 0, 0] = sx
+        jac[:, 1, 1] = sy
+    return x_cam, np.stack([px, py], axis=1), jac @ Rc
+
+
 def project_gaussians(
     means: np.ndarray,
     rot_mats: np.ndarray,
@@ -72,38 +110,14 @@ def project_gaussians(
         bad = np.nonzero(~(np.isfinite(means).all(axis=1) & np.isfinite(scales).all(axis=1)))[0]
         raise ValidationError(f"non-finite Gaussian inputs at indices {bad[:16].tolist()}")
 
-    W, H = camera.resolution
-    Rc = camera.extrinsic[:3, :3].astype(np.float64)
-    tc = camera.extrinsic[:3, 3].astype(np.float64)
-    x_cam = means.astype(np.float64) @ Rc.T + tc
+    x_cam, means2d, jac = camera_project(means, camera)
     z = x_cam[:, 2]
     visible = (z > camera.near) & (z < camera.far)
 
-    n = means.shape[0]
-    jac = np.zeros((n, 2, 3))
-    if camera.mode == "perspective":
-        fx, fy, cx, cy = (float(v) for v in camera.params)
-        zs = np.where(z == 0.0, 1e-9, z)
-        px = fx * x_cam[:, 0] / zs + cx
-        py = fy * x_cam[:, 1] / zs + cy
-        jac[:, 0, 0] = fx / zs
-        jac[:, 0, 2] = -fx * x_cam[:, 0] / (zs * zs)
-        jac[:, 1, 1] = fy / zs
-        jac[:, 1, 2] = -fy * x_cam[:, 1] / (zs * zs)
-    else:
-        ex, ey = float(camera.params[0]), float(camera.params[1])
-        sx, sy = W / ex, H / ey
-        px = sx * x_cam[:, 0] + 0.5 * W
-        py = sy * x_cam[:, 1] + 0.5 * H
-        jac[:, 0, 0] = sx
-        jac[:, 1, 1] = sy
-    means2d = np.stack([px, py], axis=1)
-
-    # world covariance -> camera -> screen
+    # world covariance -> screen
     rs = rot_mats.astype(np.float64) * scales.astype(np.float64)[:, None, :]
     cov_w = rs @ np.swapaxes(rs, 1, 2)
-    # full Jacobian in the camera frame
-    cov2d_full = np.einsum("nab,nbc,ndc->nad", jac @ Rc, cov_w, jac @ Rc)
+    cov2d_full = np.einsum("nab,nbc,ndc->nad", jac, cov_w, jac)
     cov2d = np.stack([cov2d_full[:, 0, 0], cov2d_full[:, 0, 1], cov2d_full[:, 1, 1]], axis=1)
     cov2d, lam_max = _eig_clamp(cov2d, EIG_FLOOR)
 
@@ -112,15 +126,7 @@ def project_gaussians(
     conic = np.stack([cov2d[:, 2] / det, -cov2d[:, 1] / det, cov2d[:, 0] / det], axis=1)
     radius = np.maximum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)), RADIUS_FLOOR)
 
-    return Projected(
-        means2d=means2d,
-        depth=z,
-        conic=conic,
-        radius=radius,
-        jac=jac @ Rc,  # directly d(px)/d(world mean)
-        visible=visible,
-        cov2d=cov2d,
-    )
+    return Projected(means2d=means2d, depth=z, conic=conic, radius=radius, jac=jac, visible=visible)
 
 
 def backproject_mean_grads(proj: Projected, d_means2d: np.ndarray) -> np.ndarray:

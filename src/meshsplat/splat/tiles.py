@@ -116,8 +116,8 @@ def _weights(coefs, opacity, feats):
 def bin_gaussians(means2d, radius, depth, width, height):
     """Depth-sorted (tile -> gaussian) pair lists.
 
-    Returns (tile_of_pair, gauss_of_pair, tile_starts_dict) with pairs
-    grouped by tile and ordered front-to-back, ties broken by index.
+    Returns (tile_of_pair, gauss_of_pair) with pairs grouped by tile and
+    ordered front-to-back, ties broken by index.
     """
     ntx = (width + TILE - 1) // TILE
     nty = (height + TILE - 1) // TILE

@@ -41,7 +41,6 @@ class TeacherFrame:
 @dataclass
 class TeacherSource:
     frames: list[TeacherFrame]
-    provenance: str
     map_resolution: int
 
     def __len__(self) -> int:
@@ -135,16 +134,13 @@ def procedural_teacher(
     for t, frame in enumerate(sequence.frames):
         delta = f(frame.theta)
         dmap = splat.apply_map_caches(front_cache, back_cache, bounds, delta)
-        res = deform.animate_frame(
-            template, texture, None, frame, sequence.camera_for(t),
-            channels=("color", "alpha", "normal"),
-            extra_vertex_delta=delta, threads=threads,
-        )
-        mask = res.target.alpha > 0.5
-        color, normal = quantize_images(res.target.color, res.target.normal)
+        camera = sequence.camera_for(t)
+        posed = deform.pose_frame(template, texture, frame, camera, delta)
+        target = splat.render(posed.world, camera, channels=("color", "alpha", "normal"), threads=threads)
+        mask = target.alpha > 0.5
+        color, normal = quantize_images(target.color, target.normal)
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))
-    return TeacherSource(frames=frames, provenance=f"procedural({field}, a={amplitude}, seed={seed})",
-                         map_resolution=map_resolution)
+    return TeacherSource(frames=frames, map_resolution=map_resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -206,4 +202,4 @@ def ingest_teacher(manifest_path) -> TeacherSource:
         if dmap.front.shape[0] != map_res:
             raise ValidationError(f"frame {t}: map resolution {dmap.front.shape[0]} != {map_res}")
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))
-    return TeacherSource(frames=frames, provenance=f"external({manifest_path})", map_resolution=int(map_res))
+    return TeacherSource(frames=frames, map_resolution=int(map_res))

@@ -31,6 +31,9 @@ from .optim import DEFAULT_LRS, Adam
 SEM_ALPHA_THRESHOLD = 1e-3
 # steps between the last-good snapshots that TrainingDiverged carries
 CHECKPOINT_EVERY = 200
+# frame embeddings exist to absorb registration error; decay keeps them
+# from shortcutting pose-dependent structure the MLPs should own
+WEIGHT_DECAY = {"embeddings": 1.0}
 
 
 @dataclass
@@ -56,9 +59,6 @@ class TrainConfig:
     iterations: int = 2000
     batch_size: int = 1
     lrs: dict = field(default_factory=dict)
-    # frame embeddings exist to absorb registration error; decay keeps
-    # them from shortcutting pose-dependent structure the MLPs should own
-    weight_decay: dict = field(default_factory=lambda: {"embeddings": 1.0})
     map_resolution: int = 128
     tau: float = 25.0
     weights: LossWeights = field(default_factory=LossWeights)
@@ -245,7 +245,7 @@ def bake(
     }
     if not config.freeze_embeddings:
         groups["embeddings"] = [params["z_table"]]
-    opt = Adam(groups, lrs=config.lrs, weight_decay=config.weight_decay)
+    opt = Adam(groups, lrs=config.lrs, weight_decay=WEIGHT_DECAY)
 
     def snapshot():
         b = replace(
@@ -401,7 +401,7 @@ def finetune(
             "blend_col": [params["C"]],
         },
         lrs={**config.lrs, "blend_pos": blend_lr * edge, "blend_col": blend_lr},
-        weight_decay=config.weight_decay,
+        weight_decay=WEIGHT_DECAY,
     )
 
     def snapshot():

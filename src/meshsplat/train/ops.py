@@ -14,6 +14,7 @@ import numpy as np
 from scipy.ndimage import correlate1d
 
 from ..assets import Camera, GaussianTexture, RiggedTemplate
+from ..gstexture import surface_points
 from ..splat import backproject_mean_grads, composite_backward, meshraster, splat_forward
 from .engine import Function, Tensor
 
@@ -152,8 +153,4 @@ def gaussian_semantic(template: RiggedTemplate, texture: GaussianTexture, tau: f
     """Semantic label per Gaussian: barycentric blend of its parent
     triangle's vertex labels."""
     labels = semantic_label(template, tau)
-    tri = template.faces.astype(np.int64)[texture.face_idx.astype(np.int64)]
-    u = texture.uv[:, 0:1]
-    v = texture.uv[:, 1:2]
-    w = 1.0 - u - v
-    return (labels[tri[:, 0]] * u + labels[tri[:, 1]] * v + labels[tri[:, 2]] * w).astype(np.float32)
+    return surface_points(labels, template.faces, texture.face_idx, texture.uv).astype(np.float32)

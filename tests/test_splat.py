@@ -562,6 +562,33 @@ def test_mesh_camera_raster_zbuffer():
     assert np.abs(img[24, 24] - np.array([0, 1, 0])).max() < 1e-6
 
 
+@pytest.mark.parametrize("mode", ["perspective", "ortho-front"])
+def test_mesh_raster_and_splatter_agree_on_pixels(mode):
+    # the semantic loss compares a splat render with a mesh render under
+    # one camera: the pixel holding the projected mean of a Gaussian at a
+    # quad's centre must be covered by that quad and carry its attribute
+    if mode == "perspective":
+        cam = _front_camera()
+    else:
+        cam = assets.Camera(mode, (64, 64), np.array([2.0, 2.0, 0.0, 0.0], np.float32),
+                            assets.look_at((0.0, 3.0, 0.0), (0.0, 0.0, 0.0)), near=0.1, far=20.0)
+    centers = np.array([[0.3, 0.0, 0.2], [-0.45, 0.0, 0.1], [0.1, 0.0, -0.5], [-0.2, 0.0, -0.3]],
+                       dtype=np.float32)
+    h = 0.06  # 1.4 px (perspective) or 1.9 px (orthographic) around the centre
+    corners = np.array([[-h, 0.0, -h], [h, 0.0, -h], [h, 0.0, h], [-h, 0.0, h]], dtype=np.float32)
+    verts = (centers[:, None, :] + corners[None]).reshape(-1, 3)
+    n = len(centers)
+    faces = (4 * np.arange(n)[:, None, None] + np.array([[0, 1, 2], [0, 2, 3]])).reshape(-1, 3)
+    labels = np.arange(1, n + 1, dtype=np.float32)[:, None] * np.array([1.0, 0.5, 0.25], np.float32)
+    img, mask, _ = splat.rasterize_mesh_camera(verts, faces.astype(np.uint32), np.repeat(labels, 4, axis=0), cam)
+    proj = splat.project_gaussians(centers, np.tile(np.eye(3, dtype=np.float32), (n, 1, 1)),
+                                   np.full((n, 3), 0.01, np.float32), cam)
+    assert proj.visible.all()
+    cols, rows = np.floor(proj.means2d).astype(np.int64).T
+    assert mask[rows, cols].all()
+    assert np.abs(img[rows, cols] - labels).max() < 1e-6
+
+
 def _assert_same_cache(got, want):
     for field in ("pix_rows", "pix_cols", "vidx", "weights"):
         a, b = getattr(got, field), getattr(want, field)

@@ -252,7 +252,7 @@ def test_bake_gradient_isolation_lambda_zero(tiny_setup):
         frames=[teacher.TeacherFrame(
             dmap=dataclasses.replace(f.dmap, front=f.dmap.front + 123.0),
             gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames],
-        provenance="doctored", map_resolution=src.map_resolution)
+        map_resolution=src.map_resolution)
     b1, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
     b2, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), doctored, mot, cfg)
     for (w1, bb1), (w2, bb2) in zip(b1.body_mlp, b2.body_mlp):
@@ -266,7 +266,7 @@ def test_bake_nan_teacher_aborts_with_checkpoint(tiny_setup):
         frames=[teacher.TeacherFrame(
             dmap=f.dmap, gt_color=np.full_like(f.gt_color, np.nan),
             gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames],
-        provenance="nan", map_resolution=src.map_resolution)
+        map_resolution=src.map_resolution)
     cfg = train.TrainConfig(iterations=3, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     with pytest.raises(train.TrainingDiverged) as ei:
@@ -292,7 +292,7 @@ def test_bake_mask_disagreement_warning(tiny_setup, tmp_path):
         shrunk.append(teacher.TeacherFrame(
             dmap=dataclasses.replace(f.dmap, front_mask=fm),
             gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask))
-    bad = teacher.TeacherSource(shrunk, "shrunk", src.map_resolution)
+    bad = teacher.TeacherSource(shrunk, src.map_resolution)
     cfg = train.TrainConfig(iterations=1, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     _, _, hist = train.bake(t, tex, _bundle_for(t, tex, mot), bad, mot, cfg)
