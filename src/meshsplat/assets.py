@@ -211,12 +211,6 @@ class GaussianTexture:
     def num_gaussians(self) -> int:
         return self.face_idx.shape[0]
 
-    def opacity(self) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.opacity_logit))
-
-    def scale(self) -> np.ndarray:
-        return np.exp(self.log_scale)
-
     def validate(self) -> None:
         G = self.face_idx.shape[0]
         for name, arr, shape in (

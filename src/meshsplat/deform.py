@@ -208,10 +208,10 @@ def blend_coeffs(bundle: StudentBundle, frame: FrameInput) -> np.ndarray:
 
 
 def blend_shape_apply(shapes: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """delta = shapes @ coeffs per row; linear in both arguments."""
+    """delta = shapes @ coeffs per row; linear in both, in their precision."""
     if shapes.shape[-1] != coeffs.shape[-1]:
         raise ValidationError(f"blend dims differ: {shapes.shape[-1]} vs {coeffs.shape[-1]}")
-    return np.einsum("gcn,n->gc", shapes.astype(np.float32), coeffs.astype(np.float32))
+    return np.einsum("gcn,n->gc", shapes, coeffs)
 
 
 @dataclass
@@ -249,21 +249,18 @@ def pose_frame(
     """Pose and bind one frame: expression offsets plus ``vertex_delta``
     in canonical space, skinning, then the triangle-frame binding of
     ``local_to_world`` with the optional blend-shape residuals. Rendering
-    and training both build a frame through here.
+    and training both build a frame through here, in float32, or in
+    float64 for a float64 ``vertex_delta``.
     """
     frame.validate_for(template)
     delta = expression_offsets(template, frame.epsilon)
     if vertex_delta is not None:
-        delta = delta + vertex_delta.astype(np.float32)
+        delta = delta + vertex_delta
     skeleton = pose_skeleton(template, frame)
     posed = lbs_forward(template, skeleton, delta)
-    if camera.mode == "perspective":
-        view = {"view_origin": splat.camera_center(camera)}
-    else:
-        view = {"view_dir": splat.projection.view_direction(camera)}
     world = local_to_world(
         texture, posed, template.faces,
-        delta_u=delta_u, delta_c=delta_c, **view,
+        delta_u=delta_u, delta_c=delta_c, **splat.camera_view(camera),
     )
     return PosedFrame(posed_verts=posed, skeleton=skeleton, world=world)
 

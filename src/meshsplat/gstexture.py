@@ -152,6 +152,7 @@ def local_to_world(
     view direction plus the optional color residual, clamped to [0,1].
     Exactly one of ``view_origin`` (a world point) or ``view_dir`` (a
     fixed world direction, e.g. for orthographic views) must be given.
+    The arrays come out in the precision of ``verts``.
     """
     R_face, e_face, _ = triangle_frames(verts, faces)
     f = texture.face_idx.astype(np.int64)
@@ -188,13 +189,14 @@ def local_to_world(
         color = color + delta_c
     color = np.clip(color, 0.0, 1.0)
 
+    dtype = np.result_type(verts, np.float32)
     return WorldGaussians(
-        means=means.astype(np.float32),
-        rot_mats=rot_mats.astype(np.float32),
-        scales=scales.astype(np.float32),
-        opacity=opacity.astype(np.float32),
-        color=color.astype(np.float32),
-        normal=rot_mats[:, :, 0].astype(np.float32),
+        means=means.astype(dtype),
+        rot_mats=rot_mats.astype(dtype),
+        scales=scales.astype(dtype),
+        opacity=opacity.astype(dtype),
+        color=color.astype(dtype),
+        normal=rot_mats[:, :, 0].astype(dtype),
         tri_rot=R,
         sh_basis=basis,
     )

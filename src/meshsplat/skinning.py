@@ -107,7 +107,7 @@ def lbs_forward(
     skeleton: PosedSkeleton,
     per_vertex_delta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pose canonical vertices: sum_j w_ij M_j (v_i + delta_i)."""
+    """Pose canonical vertices: sum_j w_ij M_j (v_i + delta_i); float64 for a float64 delta."""
     v = template.vertices.astype(np.float64)
     if per_vertex_delta is not None:
         if per_vertex_delta.shape != v.shape:
@@ -117,7 +117,7 @@ def lbs_forward(
         v = v + per_vertex_delta.astype(np.float64)
     A = vertex_transforms(template, skeleton)
     posed = np.einsum("vab,vb->va", A[:, :3, :3], v) + A[:, :3, 3]
-    return posed.astype(np.float32)
+    return posed.astype(np.float32 if per_vertex_delta is None else np.result_type(np.float32, per_vertex_delta))
 
 
 def lbs_inverse(

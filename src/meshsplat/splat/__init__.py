@@ -25,7 +25,7 @@ from ..gstexture import WorldGaussians
 from . import images, meshraster, projection, tiles
 from .images import read_pgm, read_ppm, write_pgm, write_png, write_ppm
 from .meshraster import RasterCache, apply_map_caches, map_bounds, map_caches, rasterize_mesh_camera
-from .projection import Projected, backproject_mean_grads, camera_center, project_gaussians
+from .projection import Projected, backproject_mean_grads, camera_view, project_gaussians
 from .tiles import TILE, composite, composite_backward
 
 CHANNELS = ("color", "normal", "semantic", "depth")
@@ -177,7 +177,7 @@ def write_image(img: np.ndarray, path) -> None:
 __all__ = [
     "RenderTarget", "render", "splat_forward", "order_key", "sort_keys", "quantized_depth_keys",
     "relight", "write_image", "rasterize_mesh_camera", "map_bounds", "map_caches",
-    "apply_map_caches", "RasterCache", "Projected", "project_gaussians", "backproject_mean_grads", "camera_center", "composite", "composite_backward",
+    "apply_map_caches", "RasterCache", "Projected", "project_gaussians", "backproject_mean_grads", "camera_view", "composite", "composite_backward",
     "write_ppm", "read_ppm", "write_pgm", "read_pgm", "write_png", "TILE", "U16_BINS",
     "images", "meshraster", "projection", "tiles", "CHANNELS",
 ]

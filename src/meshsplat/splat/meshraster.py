@@ -232,13 +232,14 @@ def rasterize_mesh_camera(
 
     Vertices are projected by ``projection.camera_project``, as the
     splatter's Gaussian means are; a face with any vertex at or behind
-    the near plane is dropped, as the splatter culls Gaussians there.
+    the near plane, or at or past the far plane, is dropped, as the
+    splatter culls Gaussians there.
     """
     camera.validate()
     _check_finite(verts)
     x_cam, pts2d, _ = camera_project(verts, camera)
     z = x_cam[:, 2]
-    keep = ~(z <= camera.near)[faces.astype(np.int64)].any(axis=1)
+    keep = ~((z <= camera.near) | (z >= camera.far))[faces.astype(np.int64)].any(axis=1)
     cache = _rasterize(pts2d, z, faces[keep], *camera.resolution)
     img, mask = cache.apply(attrs)
     return img, mask, cache

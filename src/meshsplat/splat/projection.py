@@ -36,16 +36,14 @@ class Projected:
     visible: np.ndarray    # [N] bool, inside the depth range
 
 
-def camera_center(camera: Camera) -> np.ndarray:
-    """World-space camera origin (perspective) or a point on the view axis."""
+def camera_view(camera: Camera) -> dict:
+    """``gstexture.local_to_world``'s view argument: the world-space origin
+    of a perspective camera, or the forward axis of an orthographic one."""
+    if camera.mode != "perspective":
+        return {"view_dir": camera.extrinsic[2, :3].astype(np.float32)}
     R = camera.extrinsic[:3, :3].astype(np.float64)
     t = camera.extrinsic[:3, 3].astype(np.float64)
-    return (-R.T @ t).astype(np.float32)
-
-
-def view_direction(camera: Camera) -> np.ndarray:
-    """World-space forward axis of the camera."""
-    return camera.extrinsic[2, :3].astype(np.float32)
+    return {"view_origin": (-R.T @ t).astype(np.float32)}
 
 
 def _eig_clamp(cov: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ from .bake import (
 from .engine import Tensor, concat, constant, mlp_apply
 from .gradcheck import GradReport, grad_check
 from .losses import (
-    dssim_value,
     gaussian_window,
     l1_value,
     loss_dssim,
@@ -34,7 +33,7 @@ __all__ = [
     "Tensor", "concat", "constant", "mlp_apply", "Adam",
     "GradReport", "grad_check", "run_preflight", "preflight_ok", "SUITES",
     "loss_l1", "loss_dssim", "loss_normal", "loss_nonrigid", "loss_semantic",
-    "ssim", "gaussian_window", "l1_value", "dssim_value", "mask_disagreement",
+    "ssim", "gaussian_window", "l1_value", "mask_disagreement",
     "semantic_label", "gaussian_semantic", "splat_render",
     "LossWeights", "TrainConfig", "TrainingDiverged", "bake", "finetune",
     "evaluate_nonrigid",

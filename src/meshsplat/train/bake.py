@@ -3,8 +3,9 @@
 Baking distills teacher deformation maps into the student MLPs while
 refining Gaussian local attributes against teacher renders; fine-tuning
 freezes the deformation field and fits the mapping networks and blend
-shapes. Both stages assemble a per-frame graph over the autodiff engine
-and step Adam with per-group learning rates.
+shapes. Both stages splat the runtime's posed Gaussians, differentiated
+through ``ops.bind``, in a per-frame graph over the autodiff engine, and
+step Adam with per-group learning rates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..assets import (
     RiggedTemplate,
     ValidationError,
 )
-from ..gstexture import sh_apply, triangle_frames
+from ..gstexture import local_to_world, triangle_frames
 from ..skinning import vertex_transforms
 from . import losses, ops
 from .engine import Tensor, concat, constant, mlp_apply
@@ -34,6 +35,9 @@ CHECKPOINT_EVERY = 200
 # frame embeddings exist to absorb registration error; decay keeps them
 # from shortcutting pose-dependent structure the MLPs should own
 WEIGHT_DECAY = {"embeddings": 1.0}
+# the texture attributes bake refines, by their ``ops.bind`` names; no
+# gradient reaches rotation or scale (no covariance backward)
+ATTRIBUTES = ("opacity_logit", "sh", "gamma")
 
 
 @dataclass
@@ -118,27 +122,24 @@ def student_delta_graph(
     bundle: deform.StudentBundle,
     frame: FrameInput,
     frame_index: int,
-    dtype=np.float32,
 ) -> Tensor:
     """Differentiable student deformation for one frame."""
-    pe = deform.positional_encode(template.vertices, bundle.pe_bands).astype(dtype)
+    pe = deform.positional_encode(template.vertices, bundle.pe_bands).astype(np.float32)
     V = pe.shape[0]
-    theta = np.broadcast_to(frame.theta.astype(dtype), (V, bundle.theta_dim))
+    theta = np.broadcast_to(frame.theta.astype(np.float32), (V, bundle.theta_dim))
     base = constant(np.concatenate([pe, theta], axis=1))
     z_row = params["z_table"][np.array([frame_index])]  # [1, Z]
     z_b = z_row.broadcast_to((V, bundle.embed_dim))
     g = concat([base, z_b], axis=1)
     body = mlp_apply(params["sb"], g)
     cloth = mlp_apply(params["sc"], g)
-    mask = constant(template.cloth_mask.astype(dtype)[:, None])
+    mask = constant(template.cloth_mask.astype(np.float32)[:, None])
     return cloth * mask + body
 
 
-def _tensor_net(layers, requires_grad=True, dtype=np.float32):
-    return [
-        (Tensor(np.array(w, dtype=dtype), requires_grad), Tensor(np.array(b, dtype=dtype), requires_grad))
-        for (w, b) in layers
-    ]
+def _tensor_net(layers):
+    return [(Tensor(np.array(w, dtype=np.float32), True), Tensor(np.array(b, dtype=np.float32), True))
+            for (w, b) in layers]
 
 
 def _net_arrays(tensors):
@@ -198,7 +199,9 @@ def bake(
 ) -> tuple[deform.StudentBundle, GaussianTexture, list[dict]]:
     """Distill the teacher into the student field and refine local
     attributes. Returns (bundle, texture, history); the inputs are not
-    mutated. Blend shapes stay frozen at zero during this stage.
+    mutated. Blend shapes stay frozen at zero during this stage. Each
+    step splats ``deform.pose_frame`` at the current deltas and
+    attributes, differentiated through ``ops.bind``.
     """
     config.validate()
     bundle.validate_for(template, texture)
@@ -228,20 +231,18 @@ def bake(
 
     sem_labels = ops.semantic_label(template, config.tau)
     sem_g = ops.gaussian_semantic(template, texture, config.tau)
+    bary = ops.bary_matrix(template, texture)
 
     params = {
         "sb": _tensor_net(bundle.body_mlp),
         "sc": _tensor_net(bundle.cloth_mlp),
         "z_table": Tensor(np.array(bundle.z_table, dtype=np.float32),
                           requires_grad=not config.freeze_embeddings),
-        "o": Tensor(np.array(texture.opacity_logit, dtype=np.float32), True),
-        "sh": Tensor(np.array(texture.sh, dtype=np.float32), True),
-        "gamma": Tensor(np.array(texture.gamma, dtype=np.float32), True),
+        **{k: Tensor(np.array(getattr(texture, k), dtype=np.float32), True) for k in ATTRIBUTES},
     }
     groups = {
         "mlp": _flatten_nets([params["sb"], params["sc"]]),
-        # no gradient reaches rotation or scale (no covariance backward)
-        "attributes": [params["o"], params["sh"], params["gamma"]],
+        "attributes": [params[k] for k in ATTRIBUTES],
     }
     if not config.freeze_embeddings:
         groups["embeddings"] = [params["z_table"]]
@@ -256,9 +257,7 @@ def bake(
         )
         tex = replace(
             texture,
-            opacity_logit=params["o"].data.copy(),
-            sh=params["sh"].data.copy(),
-            gamma=params["gamma"].data.copy(),
+            **{k: params[k].data.copy() for k in ATTRIBUTES},
             rotation=np.array(texture.rotation, dtype=np.float32),
             log_scale=np.array(texture.log_scale, dtype=np.float32),
         )
@@ -270,61 +269,42 @@ def bake(
         tf = teacher.frames[t]
 
         delta_t = student_delta_graph(params, template, bundle, frame, t)
-        # the runtime's pose and binding at the student's current
-        # deltas; blend shapes are frozen at zero in this stage
-        posed_frame = deform.pose_frame(template, texture, frame, camera, delta_t.data)
+        # the runtime's pose and binding at the student's current deltas
+        # and attributes; blend shapes are frozen at zero in this stage
+        current = replace(texture, **{k: params[k].data for k in ATTRIBUTES})
+        posed_frame = deform.pose_frame(template, current, frame, camera, delta_t.data)
         world = posed_frame.world
 
         parts = {}
         loss = None
         if weights.non > 0:
-            map_f = ops.mesh_map_apply(delta_t, front_cache)
-            map_b = ops.mesh_map_apply(delta_t, back_cache)
-            l_non = losses.loss_nonrigid(map_f, map_b, tf.dmap)
-            parts["non"] = l_non
-            loss = l_non * weights.non
+            parts["non"] = losses.loss_nonrigid(ops.mesh_map_apply(delta_t, front_cache),
+                                                ops.mesh_map_apply(delta_t, back_cache), tf.dmap)
+            loss = parts["non"] * weights.non
 
-        expr = deform.expression_offsets(template, frame.epsilon).astype(np.float64)
-        posed = ops.points_affine(constant(
-            (template.vertices.astype(np.float64) + expr).astype(np.float32)) + delta_t,
-            vertex_transforms(template, posed_frame.skeleton).astype(np.float32))
-        p = ops.bary_points(posed, template.faces, texture.face_idx, texture.uv)
-        normal_g = world.tri_rot[:, :, 0].astype(np.float32)
-        means = p + params["gamma"].reshape(-1, 1) * constant(normal_g)
-
-        basis = world.sh_basis.astype(np.float32)
-        color = (params["sh"] * constant(basis[:, None, :])).sum(axis=2) + 0.5
-        color = color.clamp(0.0, 1.0)
-        opacity = params["o"].sigmoid()
+        means, color, opacity = ops.bind(
+            world, skin=vertex_transforms(template, posed_frame.skeleton)[:, :3, :3], bary=bary,
+            delta=delta_t, **{k: params[k] for k in ATTRIBUTES})
         values = concat([color, constant(world.normal), constant(sem_g)], axis=1)
 
         img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales,
                                threads=config.threads)
         color_img = img[:, :, 0:3]
-        normal_img = img[:, :, 3:6]
-        sem_img = img[:, :, 6:9]
-
-        l1 = losses.loss_l1(color_img, tf.gt_color)
-        parts["l1"] = l1
-        l_rec = l1
+        parts["l1"] = l_rec = losses.loss_l1(color_img, tf.gt_color)
         if weights.ssim > 0:
-            d = losses.loss_dssim(color_img, tf.gt_color)
-            parts["dssim"] = d
-            l_rec = l_rec + d * weights.ssim
+            parts["dssim"] = losses.loss_dssim(color_img, tf.gt_color)
+            l_rec = l_rec + parts["dssim"] * weights.ssim
         if weights.nor > 0:
-            n = losses.loss_normal(normal_img, tf.gt_normal, tf.gt_mask)
-            parts["nor"] = n
-            l_rec = l_rec + n * weights.nor
+            parts["nor"] = losses.loss_normal(img[:, :, 3:6], tf.gt_normal, tf.gt_mask)
+            l_rec = l_rec + parts["nor"] * weights.nor
         loss = l_rec if loss is None else loss + l_rec
 
         if weights.sem > 0:
             mesh_sem, mesh_mask, _ = splat.rasterize_mesh_camera(
                 posed_frame.posed_verts, template.faces, sem_labels, camera)
-            alpha_fwd = img.data[:, :, -1]
-            union = mesh_mask | (alpha_fwd > SEM_ALPHA_THRESHOLD)
-            l_sem = losses.loss_semantic(sem_img, mesh_sem, union)
-            parts["sem"] = l_sem
-            loss = loss + l_sem * weights.sem
+            union = mesh_mask | (img.data[:, :, -1] > SEM_ALPHA_THRESHOLD)
+            parts["sem"] = losses.loss_semantic(img[:, :, 6:9], mesh_sem, union)
+            loss = loss + parts["sem"] * weights.sem
         return loss, {key: float(term.data) for key, term in parts.items()}
 
     new_bundle, new_texture, history = _optimize(opt, config, len(sequence), frame_loss, snapshot)
@@ -374,7 +354,8 @@ def finetune(
     coefficients z. So the step is divided by the mean ``|z|_1`` over the
     frames (when that exceeds 1). It is measured in color units for
     ``blend_col`` and in mean edge lengths, the binding's unit of
-    Gaussian scale, for ``blend_pos``.
+    Gaussian scale, for ``blend_pos``. Each step splats the runtime's
+    ``local_to_world`` of the current offsets, through ``ops.bind``.
     """
     config.validate()
     _reject_bake_only_settings(config)
@@ -383,7 +364,6 @@ def finetune(
     if len(gt_frames) != len(sequence):
         raise ValidationError(f"{len(gt_frames)} gt frames for {len(sequence)} sequence frames")
 
-    G = texture.num_gaussians
     n = bundle.n_coeffs
     params = {
         "maph": _tensor_net(bundle.head_map),
@@ -413,36 +393,29 @@ def finetune(
             blend_col=params["C"].data.copy(),
         ), texture
 
-    # the deformation field is frozen, so each frame's pose and binding
-    # (without blend shapes, which the graph adds) is built once
-    worlds = []
-    sh_colors = []
-    for t, frame in enumerate(sequence.frames):
-        delta = deform.student_deform(bundle, template, frame, frame_index=t)
-        world = deform.pose_frame(template, texture, frame, sequence.camera_for(t), delta).world
-        worlds.append(world)
-        sh_colors.append(sh_apply(texture.sh.astype(np.float64), world.sh_basis).astype(np.float32))
+    # the deformation field is frozen, so each frame's posed vertices
+    # are built once; the blend shapes are bound on every step
+    posed = [deform.pose_frame(template, texture, frame, sequence.camera_for(t),
+                               deform.student_deform(bundle, template, frame, frame_index=t)).posed_verts
+             for t, frame in enumerate(sequence.frames)]
 
     def frame_loss(t):
         frame = sequence.frames[t]
-        world = worlds[t]
+        camera = sequence.camera_for(t)
         gt = gt_frames[t]
 
         z_h = mlp_apply(params["maph"], constant(frame.epsilon[None].astype(np.float32)))
         z_b = mlp_apply(params["mapb"], constant(frame.theta[None].astype(np.float32)))
         coeffs = concat([z_h, z_b], axis=1).reshape(n)
-
-        du = (params["U"] * coeffs.broadcast_to((G, 3, n))).sum(axis=2)
-        dc = (params["C"] * coeffs.broadcast_to((G, 3, n))).sum(axis=2)
-
-        means = constant(world.means) + ops.rotate_rows(du, world.tri_rot.astype(np.float32))
-        color = (constant(sh_colors[t]) + dc).clamp(0.0, 1.0)
+        du = ops.blend_shapes(params["U"], coeffs)
+        dc = ops.blend_shapes(params["C"], coeffs)
+        world = local_to_world(texture, posed[t], template.faces, delta_u=du.data, delta_c=dc.data,
+                               **splat.camera_view(camera))
+        means, color, opacity = ops.bind(world, du=du, dc=dc)
         values = concat([color, constant(world.normal)], axis=1)
 
-        img = ops.splat_render(
-            means, values, constant(world.opacity), sequence.camera_for(t),
-            world.rot_mats, world.scales, threads=config.threads,
-        )
+        img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales,
+                               threads=config.threads)
         color_img = img[:, :, 0:3]
 
         l1 = losses.loss_l1(color_img, gt.gt_color)

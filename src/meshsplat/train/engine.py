@@ -121,14 +121,8 @@ class Tensor:
     def relu(self):
         return Relu.apply(self)
 
-    def sigmoid(self):
-        return Sigmoid.apply(self)
-
     def square(self):
         return Mul.apply(self, self)
-
-    def clamp(self, lo, hi):
-        return Clamp.apply(self, lo=lo, hi=hi)
 
     def reshape(self, *shape):
         return Reshape.apply(self, shape=shape)
@@ -270,24 +264,6 @@ class Relu(Function):
     def forward(self, a):
         self.mask = a > 0
         return np.maximum(a, 0)
-
-    def backward(self, g):
-        return (g * self.mask,)
-
-
-class Sigmoid(Function):
-    def forward(self, a):
-        self.out = 1.0 / (1.0 + np.exp(-a))
-        return self.out
-
-    def backward(self, g):
-        return (g * self.out * (1.0 - self.out),)
-
-
-class Clamp(Function):
-    def forward(self, a, lo, hi):
-        self.mask = (a > lo) & (a < hi)
-        return np.clip(a, lo, hi)
 
     def backward(self, g):
         return (g * self.mask,)

@@ -114,7 +114,3 @@ def loss_semantic(
 
 def l1_value(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a.astype(np.float64) - b.astype(np.float64)).mean())
-
-
-def dssim_value(a: np.ndarray, b: np.ndarray) -> float:
-    return float(loss_dssim(constant(a.astype(np.float64)), b.astype(np.float64)).data)

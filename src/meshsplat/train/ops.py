@@ -1,52 +1,26 @@
 """Custom differentiable ops bridging the autodiff engine to the
-rasterizers, plus semantic label construction.
+runtime's binding and rasterizers, plus semantic label construction.
 
-Per-step linearization: triangle rotations, normals, projection
-Jacobians, compositing order, and 2D covariances are computed once from
-a plain forward pass and treated as constants inside the graph; only the
-contracted gradient paths (channel values, opacities, means through the
-weight exponent, and linear raster weights) flow.
+Per-step linearization: the runtime's binding, with its frames held.
+Each op's forward is the runtime's own; triangle frames, the SH basis
+and view direction, projection Jacobians, compositing order, and 2D
+covariances come from that forward and are constants inside the graph;
+only the contracted gradient paths (the binding's linear map, channel
+values, opacities, means through the weight exponent, and linear raster
+weights) flow.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.ndimage import correlate1d
 
+from .. import deform
 from ..assets import Camera, GaussianTexture, RiggedTemplate
-from ..gstexture import surface_points
+from ..gstexture import WorldGaussians, surface_points
 from ..splat import backproject_mean_grads, composite_backward, meshraster, splat_forward
 from .engine import Function, Tensor
-
-
-class PointsAffine(Function):
-    """y_i = A_i[:, :3] x_i + A_i[:, 3] with constant per-point matrices."""
-
-    def forward(self, x, mats=None):
-        self.lin = mats[:, :3, :3]
-        return (np.einsum("vab,vb->va", self.lin, x) + mats[:, :3, 3]).astype(x.dtype)
-
-    def backward(self, g):
-        return (np.einsum("vab,va->vb", self.lin, g).astype(g.dtype),)
-
-
-def points_affine(x: Tensor, mats: np.ndarray) -> Tensor:
-    return PointsAffine.apply(x, mats=mats)
-
-
-class RotateRows(Function):
-    """y_i = R_i x_i with constant per-row rotations."""
-
-    def forward(self, x, rots=None):
-        self.rots = rots
-        return np.einsum("gab,gb->ga", rots, x).astype(x.dtype)
-
-    def backward(self, g):
-        return (np.einsum("gab,ga->gb", self.rots, g).astype(g.dtype),)
-
-
-def rotate_rows(x: Tensor, rots: np.ndarray) -> Tensor:
-    return RotateRows.apply(x, rots=rots)
 
 
 class MeshMapApply(Function):
@@ -127,14 +101,63 @@ def splat_render(
     )
 
 
-def bary_points(posed: Tensor, faces: np.ndarray, face_idx: np.ndarray, uv: np.ndarray) -> Tensor:
-    """Differentiable barycentric surface points on the posed mesh."""
-    tri = faces.astype(np.int64)[face_idx.astype(np.int64)]
-    dtype = posed.data.dtype
-    u = uv[:, 0:1].astype(dtype)
-    v = uv[:, 1:2].astype(dtype)
-    w = (1.0 - uv[:, 0:1] - uv[:, 1:2]).astype(dtype)
-    return posed[tri[:, 0]] * u + posed[tri[:, 1]] * v + posed[tri[:, 2]] * w
+class BlendShapes(Function):
+    """``deform.blend_shape_apply``, the runtime's blend-shape offsets."""
+
+    def forward(self, shapes, coeffs):
+        self.shapes, self.coeffs = shapes, coeffs
+        return deform.blend_shape_apply(shapes, coeffs)
+
+    def backward(self, g):
+        return g[:, :, None] * self.coeffs, np.einsum("gcn,gc->n", self.shapes, g)
+
+
+def blend_shapes(shapes: Tensor, coeffs: Tensor) -> Tensor:
+    return BlendShapes.apply(shapes, coeffs)
+
+
+def bary_matrix(template: RiggedTemplate, texture: GaussianTexture) -> sparse.csr_matrix:
+    """Sparse [G, V] barycentric weights: times the posed vertices, the
+    Gaussians' surface points."""
+    tri = template.faces.astype(np.int64)[texture.face_idx.astype(np.int64)]
+    u, v = texture.uv.astype(np.float64).T
+    return sparse.csr_matrix((np.stack([u, v, 1.0 - u - v], axis=1).ravel(), tri.ravel(),
+                              np.arange(0, tri.size + 1, 3)), shape=(len(tri), template.num_vertices))
+
+
+class Bind(Function):
+    """The runtime's binding: the forward is ``world``'s means, colours and
+    opacities ([G, 7]) as ``local_to_world`` built them; the backward is
+    its linear map with the triangle frames, SH basis and view direction
+    held. Each input in ``names`` maps through: ``delta`` [V,3], the
+    skinning rotations ``skin`` [V,3,3] then the barycentric weights
+    ``bary`` [G,V]; ``gamma`` [G], the triangle normal; ``du`` [G,3], the
+    triangle frame; ``sh`` [G,3,B], the SH basis, and ``dc`` [G,3], both
+    where the colour is not clipped; ``opacity_logit`` [G], o(1 - o).
+    """
+
+    def forward(self, *inputs, world=None, names=(), skin=None, bary=None):
+        return np.concatenate([world.means, world.color, world.opacity[:, None]], axis=1)
+
+    def backward(self, g):
+        world, skin, bary = (self.kwargs[k] for k in ("world", "skin", "bary"))
+        g_means = g[:, 0:3]
+        g_color = g[:, 3:6] * ((world.color > 0.0) & (world.color < 1.0))
+        grads = {
+            "delta": lambda: np.einsum("vab,va->vb", skin, bary.T @ g_means),
+            "gamma": lambda: np.einsum("ga,ga->g", world.tri_rot[:, :, 0], g_means),
+            "du": lambda: np.einsum("gab,ga->gb", world.tri_rot, g_means),
+            "sh": lambda: g_color[:, :, None] * world.sh_basis[:, None, :],
+            "dc": lambda: g_color,
+            "opacity_logit": lambda: g[:, 6] * world.opacity * (1.0 - world.opacity),
+        }
+        return tuple(grads[name]() for name in self.kwargs["names"])
+
+
+def bind(world: WorldGaussians, skin=None, bary=None, **inputs: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """``world``'s (means, colours, opacities) over the named ``inputs``."""
+    out = Bind.apply(*inputs.values(), world=world, names=tuple(inputs), skin=skin, bary=bary)
+    return out[:, 0:3], out[:, 3:6], out[:, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,22 @@
 Every trainable path is finite-difference checked on small fixtures
 before training is allowed: plain linear layers, the deformation MLPs,
 mapping nets, blend shapes, D-SSIM, the non-rigid map loss, the splat
-backward (color / opacity / 2D mean), the projection Jacobian, and
-training's differentiable splat end to end (``ops.splat_render``).
+backward (color / opacity / 2D mean), the projection Jacobian,
+training's differentiable splat end to end (``ops.splat_render``), and
+the runtime's binding as training differentiates it (``ops.bind``).
 Smooth paths must agree to 1e-3 relative, the splat paths to 1e-2.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from .. import assets, deform
 from ..assets import Camera, look_at, perspective_camera
+from ..gstexture import init_texture
+from ..skinning import pose_skeleton, vertex_transforms
 from ..splat import backproject_mean_grads, composite, composite_backward, meshraster, project_gaussians
 from . import losses, ops
 from .engine import Tensor, mlp_apply
@@ -83,6 +89,8 @@ def check_mapping_net(seed: int = 2) -> GradReport:
 
 
 def check_blend_shapes(seed: int = 3) -> GradReport:
+    """``ops.blend_shapes``, whose forward is the runtime's
+    ``deform.blend_shape_apply``."""
     rng = np.random.default_rng(seed)
     G, n = 11, 6
     shapes = rng.normal(size=(G, 3, n))
@@ -90,8 +98,7 @@ def check_blend_shapes(seed: int = 3) -> GradReport:
     gt = rng.normal(size=(G, 3))
 
     def build(ts):
-        du = (ts[0] * ts[1].broadcast_to((G, 3, n))).sum(axis=2)
-        return (du - Tensor(gt)).abs().mean()
+        return (ops.blend_shapes(ts[0], ts[1]) - Tensor(gt)).abs().mean()
 
     return grad_check(engine_fn(build), [shapes, coeffs], TOL_SMOOTH, seed=seed)
 
@@ -201,6 +208,39 @@ def check_splat_render(seed: int = 8) -> GradReport:
     return grad_check(engine_fn(build), [means, values, opacity], TOL_SPLAT, seed=seed)
 
 
+def check_bind(seed: int = 9) -> GradReport:
+    """The runtime's binding (``ops.bind``) through ``deform.pose_frame``
+    on a posed rig, in float64, where its held frames are exact: the
+    means are read for ``delta``, ``gamma`` and ``du`` at gamma = du = 0,
+    and the colours (some past the clip) and opacities for ``sh``, ``dc``
+    and ``opacity_logit``, which move no Gaussian."""
+    template = assets.make_capsule_rig(3, seed=seed, n_around=8)
+    texture = init_texture(template, 1, 1, seed=seed)
+    motion = assets.make_swing_motion(template, 1, seed=seed, resolution=(16, 16))
+    frame, camera = motion.frames[0], motion.camera_for(0)
+    skin = vertex_transforms(template, pose_skeleton(template, frame))[:, :3, :3]
+    bary = ops.bary_matrix(template, texture)
+    rng = np.random.default_rng(seed)
+    G = texture.num_gaussians
+    point = {"delta": rng.normal(scale=0.02, size=(template.num_vertices, 3)), "gamma": np.zeros(G),
+             "du": np.zeros((G, 3)), "sh": rng.normal(scale=0.5, size=texture.sh.shape),
+             "dc": rng.normal(scale=0.2, size=(G, 3)), "opacity_logit": rng.normal(size=G)}
+    g_out = [rng.normal(size=(G, 3)), rng.normal(size=(G, 3)), rng.normal(size=G)]
+
+    def check(names, reads):
+        def build(ts):
+            x = {**point, **{name: t.data for name, t in zip(names, ts)}}
+            tex = replace(texture, gamma=x["gamma"], sh=x["sh"], opacity_logit=x["opacity_logit"])
+            world = deform.pose_frame(template, tex, frame, camera, x["delta"], x["du"], x["dc"]).world
+            out = ops.bind(world, skin=skin, bary=bary, **dict(zip(names, ts)))
+            return sum((out[i] * Tensor(g_out[i])).sum() for i in reads)
+
+        return grad_check(engine_fn(build), [point[name] for name in names], TOL_SMOOTH, seed=seed)
+
+    a, b = check(("delta", "gamma", "du"), (0,)), check(("sh", "dc", "opacity_logit"), (1, 2))
+    return GradReport(max(a.max_rel, b.max_rel), a.checked + b.checked, a.failures + b.failures, TOL_SMOOTH)
+
+
 SUITES = {
     "linear": check_linear,
     "mlp": check_mlp,
@@ -211,6 +251,7 @@ SUITES = {
     "splat_backward": check_splat,
     "projection": check_projection,
     "splat_render": check_splat_render,
+    "bind": check_bind,
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshsplat import cli
+from meshsplat.train import SUITES
 
 
 def run(argv):
@@ -101,6 +102,15 @@ def test_bench_summary_fields(capsys):
     assert run(["bench", "--gaussians", "5000", "--res", "64x64", "--frames", "1"]) == 0
     fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
     assert 0.0 < float(fields["saturated_px_frac"]) < 0.01
+
+
+def test_preflight_reports_every_suite(capsys):
+    assert run(["preflight"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    records = [dict(kv.split("=", 1) for kv in line.split()) for line in lines]
+    assert [r["check"] for r in records[:-1]] == list(SUITES)
+    assert all(r["ok"] == "True" for r in records[:-1])
+    assert records[-1]["suites"] == str(len(SUITES))
 
 
 def test_bake_finetune_quantize_flow(workdir, capsys, tmp_path):

@@ -229,11 +229,11 @@ def test_init_texture_full_scale_count():
 def test_init_texture_neutral_attributes(clothed_rig):
     tex = init_texture(clothed_rig, 1, 1, seed=3)
     assert np.all(tex.gamma == 0)
-    assert np.abs(tex.opacity() - 0.5).max() < 1e-7
-    assert np.abs(tex.scale()[:, 0] - 0.01).max() < 1e-7
-    assert np.all(tex.scale()[:, 1:] == 1.0)
+    assert np.abs(np.exp(tex.log_scale[:, 0]) - 0.01).max() < 1e-7
+    assert np.all(np.exp(tex.log_scale[:, 1:]) == 1.0)
     # zero SH with the DC offset convention decodes to mid-gray
     wg = local_to_world(tex, clothed_rig.vertices, clothed_rig.faces, view_origin=(0, 3, 1))
+    assert np.abs(wg.opacity - 0.5).max() < 1e-7
     assert np.abs(wg.color - 0.5).max() < 1e-7
 
 

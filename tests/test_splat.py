@@ -589,6 +589,23 @@ def test_mesh_raster_and_splatter_agree_on_pixels(mode):
     assert np.abs(img[rows, cols] - labels).max() < 1e-6
 
 
+def test_mesh_raster_drops_faces_past_far_plane():
+    # a quad at depth 3 behind a far plane at 2.5: the splatter culls a
+    # Gaussian at its centre, so the mesh render must cover no pixel
+    cam = assets.perspective_camera((0.0, 3.0, 0.0), (0.0, 0.0, 0.0), (32, 32),
+                                    focal_px=40.0, near=0.1, far=2.5)
+    verts = np.array([[-0.3, 0.0, -0.3], [0.3, 0.0, -0.3], [0.3, 0.0, 0.3], [-0.3, 0.0, 0.3]],
+                     dtype=np.float32)
+    faces = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.uint32)
+    proj = splat.project_gaussians(np.zeros((1, 3), np.float32), np.eye(3, dtype=np.float32)[None],
+                                   np.full((1, 3), 0.01, np.float32), cam)
+    assert not proj.visible[0]
+    _, mask, _ = splat.rasterize_mesh_camera(verts, faces, verts, cam)
+    assert mask.sum() == 0
+    _, mask, _ = splat.rasterize_mesh_camera(verts, faces, verts, dataclasses.replace(cam, far=3.5))
+    assert mask.sum() > 0
+
+
 def _assert_same_cache(got, want):
     for field in ("pix_rows", "pix_cols", "vidx", "weights"):
         a, b = getattr(got, field), getattr(want, field)

@@ -307,22 +307,58 @@ def test_bake_mask_disagreement_warning(tiny_setup, tmp_path):
     assert [int(i) for i in fields["frames"].split(",")] == [0, 1, 2]
 
 
-def test_finetune_fixed_point_when_gt_matches(tiny_setup):
-    t, tex, mot, src = tiny_setup
-    bundle = _bundle_for(t, tex, mot)
-    # ground truth = the model's own pre-finetune renders
-    gently = []
+def _own_renders(t, tex, bundle, mot, dmap=None):
+    """Ground truth = the model's own float renders."""
+    frames = []
     for i, frame in enumerate(mot.frames):
         res = deform.animate_frame(t, tex, bundle, frame, mot.camera_for(i),
                                    channels=("color", "alpha", "normal"), frame_index=i)
-        gently.append(teacher.TeacherFrame(
-            dmap=None, gt_color=res.target.color,
+        frames.append(teacher.TeacherFrame(
+            dmap=dmap, gt_color=res.target.color,
             gt_normal=res.target.normal, gt_mask=res.target.alpha > 0.5))
-    cfg = train.TrainConfig(iterations=12)
-    tuned, hist = train.finetune(t, tex, bundle, gently, mot, cfg)
-    assert hist[0]["l1"] < 1e-6
-    assert np.abs(tuned.blend_pos).max() < 1e-4
-    assert np.abs(tuned.blend_col).max() < 1e-4
+    return frames
+
+
+def _max_move(layers, before):
+    return max(np.abs(w - w0).max() for (w, _), (w0, _) in zip(layers, before))
+
+
+def test_bake_fixed_point_when_gt_matches(clothed_rig, clothed_texture, motion):
+    # bake splats the runtime's own means, colours and opacities, so at
+    # its own renders the residual is exactly zero and nothing moves
+    bundle = deform.init_bundle(clothed_rig, clothed_texture, n_frames=len(motion), seed=5)
+    front, back, bounds = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 48)
+    dmap = splat.apply_map_caches(front, back, bounds, np.zeros_like(clothed_rig.vertices))
+    gt = teacher.TeacherSource(_own_renders(clothed_rig, clothed_texture, bundle, motion, dmap), 48)
+    cfg = train.TrainConfig(iterations=6, map_resolution=48,
+                            weights=train.LossWeights(nor=0.0, non=0.0, sem=0.0))
+    baked, tex, hist = train.bake(clothed_rig, clothed_texture, bundle, gt, motion, cfg)
+    assert [r["l1"] for r in hist] == [0.0] * 6
+    assert np.abs(tex.gamma - clothed_texture.gamma).max() < 1e-10
+    assert _max_move(baked.body_mlp, bundle.body_mlp) < 1e-10
+    assert _max_move(baked.cloth_mlp, bundle.cloth_mlp) < 1e-10
+
+
+def _live_bundle(t, tex, mot):
+    # mapping nets are live at init; give the blend shapes values too
+    bundle = _bundle_for(t, tex, mot)
+    rng = np.random.default_rng(9)
+    return dataclasses.replace(
+        bundle,
+        blend_pos=rng.normal(scale=0.01, size=bundle.blend_pos.shape).astype(np.float32),
+        blend_col=rng.normal(scale=0.05, size=bundle.blend_col.shape).astype(np.float32))
+
+
+def test_finetune_fixed_point_when_gt_matches(tiny_setup):
+    t, tex, mot, src = tiny_setup
+    for bundle in (_bundle_for(t, tex, mot), _live_bundle(t, tex, mot)):
+        gently = _own_renders(t, tex, bundle, mot)
+        cfg = train.TrainConfig(iterations=12)
+        tuned, hist = train.finetune(t, tex, bundle, gently, mot, cfg)
+        assert [r["l1"] for r in hist] == [0.0] * 12
+        assert np.abs(tuned.blend_pos - bundle.blend_pos).max() < 1e-10
+        assert np.abs(tuned.blend_col - bundle.blend_col).max() < 1e-10
+        assert _max_move(tuned.head_map + tuned.body_map, bundle.head_map + bundle.body_map) < 1e-10
 
 
 def test_finetune_first_step_bounded_in_output_units(tiny_setup):
