@@ -312,6 +312,8 @@ def cmd_animate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.frames < 1:
+        raise ValidationError(f"--frames must be at least 1, got {args.frames}")
     rng = np.random.default_rng(args.seed)
     w, h = _parse_res(args.res)
     n = args.gaussians

@@ -73,15 +73,24 @@ def mlp_init(dims: list[int], rng: np.random.Generator, zero_last: bool = True):
     return layers
 
 
-def mlp_forward(layers, x: np.ndarray) -> np.ndarray:
-    """ReLU MLP; weights may be stored in half precision."""
-    h = x.astype(np.float32)
+def mlp_activations(layers, x: np.ndarray) -> list[np.ndarray]:
+    """Each layer's output of the ReLU MLP (the last is linear), in float32,
+    or in float64 for float64 weights."""
+    dtype = np.promote_types(layers[0][0].dtype, np.float32)
+    h = x.astype(dtype)
+    out = []
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        h = h @ w.astype(np.float32) + b.astype(np.float32)
+        h = h @ w.astype(dtype) + b.astype(dtype)
         if i != last:
             h = np.maximum(h, 0.0)
-    return h
+        out.append(h)
+    return out
+
+
+def mlp_forward(layers, x: np.ndarray) -> np.ndarray:
+    """ReLU MLP; weights may be stored in half precision."""
+    return mlp_activations(layers, x)[-1]
 
 
 @dataclass
@@ -103,10 +112,6 @@ class StudentBundle:
     n_head: int = N_HEAD
     n_body: int = N_BODY
     precision: str = "fp32"
-
-    @property
-    def n_coeffs(self) -> int:
-        return self.n_head + self.n_body
 
     @property
     def input_dim(self) -> int:
@@ -167,7 +172,8 @@ def resolve_embedding(bundle: StudentBundle, frame: FrameInput, frame_index: int
 
 
 def student_inputs(bundle: StudentBundle, template: RiggedTemplate, frame: FrameInput, z: np.ndarray) -> np.ndarray:
-    """Per-vertex network input: encoded canonical position, pose, embedding."""
+    """Per-vertex network input: encoded canonical position, pose, embedding.
+    Float32, or float64 for a float64 ``z``."""
     if frame.theta.shape[0] != bundle.theta_dim:
         raise ValidationError(f"theta dim {frame.theta.shape[0]} != bundle {bundle.theta_dim}")
     if z.shape[0] != bundle.embed_dim:
@@ -176,7 +182,7 @@ def student_inputs(bundle: StudentBundle, template: RiggedTemplate, frame: Frame
     V = pe.shape[0]
     theta = np.broadcast_to(frame.theta, (V, bundle.theta_dim))
     zz = np.broadcast_to(z, (V, bundle.embed_dim))
-    return np.concatenate([pe, theta, zz], axis=1).astype(np.float32)
+    return np.concatenate([pe, theta, zz], axis=1).astype(np.promote_types(z.dtype, np.float32))
 
 
 def student_deform(

@@ -160,7 +160,10 @@ def relight(
     if color.shape[:2] != normal.shape[:2]:
         raise ValidationError("color and normal images must share resolution")
     l = np.asarray(light_dir, dtype=np.float64)
-    l = l / np.linalg.norm(l)
+    norm = np.linalg.norm(l)
+    if not 0 < norm < np.inf:
+        raise ValidationError(f"light direction must be finite and nonzero, got {l.tolist()}")
+    l = l / norm
     ndotl = np.maximum(normal.astype(np.float64) @ l, 0.0)
     shade = ambient + np.asarray(light_rgb, dtype=np.float64) * ndotl[..., None]
     return np.clip(color.astype(np.float64) * shade, 0.0, 1.0).astype(np.float32)

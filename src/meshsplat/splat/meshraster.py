@@ -206,6 +206,8 @@ def map_caches(
     """
     if faces.size == 0:
         raise ValueError("mesh must be non-empty")
+    if min(np.atleast_1d(resolution)) < 1:
+        raise ValidationError(f"map resolution must be at least 1 px, got {resolution}")
     _check_finite(verts)
     if bounds is None:
         bounds = map_bounds(verts)

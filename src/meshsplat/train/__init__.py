@@ -11,7 +11,7 @@ from .bake import (
     format_log_line,
     write_train_log,
 )
-from .engine import Tensor, concat, constant, mlp_apply
+from .engine import Tensor, concat, constant
 from .gradcheck import GradReport, grad_check
 from .losses import (
     gaussian_window,
@@ -30,7 +30,7 @@ from .preflight import SUITES, preflight_ok, run_preflight
 from .quantize import QuantReport, quantize_bundle
 
 __all__ = [
-    "Tensor", "concat", "constant", "mlp_apply", "Adam",
+    "Tensor", "concat", "constant", "Adam",
     "GradReport", "grad_check", "run_preflight", "preflight_ok", "SUITES",
     "loss_l1", "loss_dssim", "loss_normal", "loss_nonrigid", "loss_semantic",
     "ssim", "gaussian_window", "l1_value", "mask_disagreement",

@@ -3,7 +3,8 @@
 Baking distills teacher deformation maps into the student MLPs while
 refining Gaussian local attributes against teacher renders; fine-tuning
 freezes the deformation field and fits the mapping networks and blend
-shapes. Both stages splat the runtime's posed Gaussians, differentiated
+shapes. Both stages run the runtime's student networks through
+``ops.mlp`` and splat the runtime's posed Gaussians, differentiated
 through ``ops.bind``, in a per-frame graph over the autodiff engine, and
 step Adam with per-group learning rates.
 """
@@ -26,7 +27,7 @@ from ..assets import (
 from ..gstexture import local_to_world, triangle_frames
 from ..skinning import vertex_transforms
 from . import losses, ops
-from .engine import Tensor, concat, constant, mlp_apply
+from .engine import Tensor, concat, constant
 from .optim import DEFAULT_LRS, Adam
 
 SEM_ALPHA_THRESHOLD = 1e-3
@@ -54,8 +55,8 @@ class LossWeights:
 
     def validate(self) -> None:
         for name in ("ssim", "lpips", "nor", "non", "sem"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"loss weight {name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"loss weight {name} must be finite and nonnegative")
 
 
 @dataclass
@@ -77,8 +78,8 @@ class TrainConfig:
             raise ValidationError("iterations must be positive")
         if self.batch_size <= 0:
             raise ValidationError("batch size must be positive")
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValidationError("tau must be finite and positive")
         self.weights.validate()
 
 
@@ -116,25 +117,20 @@ def write_train_log(history: list[dict], path) -> None:
 # per-frame graph pieces
 
 
-def student_delta_graph(
-    params: dict,
-    template: RiggedTemplate,
-    bundle: deform.StudentBundle,
-    frame: FrameInput,
-    frame_index: int,
-) -> Tensor:
-    """Differentiable student deformation for one frame."""
-    pe = deform.positional_encode(template.vertices, bundle.pe_bands).astype(np.float32)
-    V = pe.shape[0]
-    theta = np.broadcast_to(frame.theta.astype(np.float32), (V, bundle.theta_dim))
-    base = constant(np.concatenate([pe, theta], axis=1))
-    z_row = params["z_table"][np.array([frame_index])]  # [1, Z]
-    z_b = z_row.broadcast_to((V, bundle.embed_dim))
-    g = concat([base, z_b], axis=1)
-    body = mlp_apply(params["sb"], g)
-    cloth = mlp_apply(params["sc"], g)
+def student_delta_graph(params: dict, template: RiggedTemplate, bundle: deform.StudentBundle,
+                        frame: FrameInput, frame_index: int) -> Tensor:
+    """``deform.student_deform`` in the graph: the runtime's inputs and
+    MLPs, differentiated through ``ops.student_inputs`` and ``ops.mlp``."""
+    x = ops.student_inputs(bundle, template, frame, params["z_table"][frame_index])
     mask = constant(template.cloth_mask.astype(np.float32)[:, None])
-    return cloth * mask + body
+    return ops.mlp(params["sc"], x) * mask + ops.mlp(params["sb"], x)
+
+
+def blend_coeffs_graph(params: dict, frame: FrameInput) -> Tensor:
+    """``deform.blend_coeffs`` in the graph: the mapping nets through
+    ``ops.mlp``, head coefficients first."""
+    return concat([ops.mlp(params["maph"], constant(frame.epsilon[None])),
+                   ops.mlp(params["mapb"], constant(frame.theta[None]))], axis=1).reshape(-1)
 
 
 def _tensor_net(layers):
@@ -364,7 +360,6 @@ def finetune(
     if len(gt_frames) != len(sequence):
         raise ValidationError(f"{len(gt_frames)} gt frames for {len(sequence)} sequence frames")
 
-    n = bundle.n_coeffs
     params = {
         "maph": _tensor_net(bundle.head_map),
         "mapb": _tensor_net(bundle.body_map),
@@ -404,9 +399,7 @@ def finetune(
         camera = sequence.camera_for(t)
         gt = gt_frames[t]
 
-        z_h = mlp_apply(params["maph"], constant(frame.epsilon[None].astype(np.float32)))
-        z_b = mlp_apply(params["mapb"], constant(frame.theta[None].astype(np.float32)))
-        coeffs = concat([z_h, z_b], axis=1).reshape(n)
+        coeffs = blend_coeffs_graph(params, frame)
         du = ops.blend_shapes(params["U"], coeffs)
         dc = ops.blend_shapes(params["C"], coeffs)
         world = local_to_world(texture, posed[t], template.faces, delta_u=du.data, delta_c=dc.data,

@@ -1,10 +1,13 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-Every op's backward is written by hand and checked against finite
-differences by the preflight suite; the engine only supplies graph
-bookkeeping (topological order, gradient accumulation, broadcasting).
-Dtype follows the input arrays, so the same graphs run in float32 for
-training and float64 for gradient checking.
+The engine supplies graph bookkeeping (topological order, gradient
+accumulation, broadcasting) and the generic array ops the losses are
+built from: arithmetic, indexing, sums, reshape and concatenation. The
+model's ops, whose forward is the runtime's own code (the student MLP,
+the binding, the splat), live in ``ops``. Every backward is written by
+hand and checked against finite differences. Dtype follows the input
+arrays, so the same graphs run in float32 for training and float64 for
+gradient checking.
 """
 
 from __future__ import annotations
@@ -33,13 +36,6 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self.ctx = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     def backward(self):
         if self.data.size != 1:
@@ -97,15 +93,6 @@ class Tensor:
     def __truediv__(self, other):
         return Div.apply(self, _wrap(other))
 
-    def __rtruediv__(self, other):
-        return Div.apply(_wrap(other), self)
-
-    def __neg__(self):
-        return Neg.apply(self)
-
-    def __matmul__(self, other):
-        return MatMul.apply(self, _wrap(other))
-
     def __getitem__(self, key):
         return GetItem.apply(self, key=key)
 
@@ -118,17 +105,11 @@ class Tensor:
     def abs(self):
         return Abs.apply(self)
 
-    def relu(self):
-        return Relu.apply(self)
-
     def square(self):
         return Mul.apply(self, self)
 
     def reshape(self, *shape):
         return Reshape.apply(self, shape=shape)
-
-    def broadcast_to(self, shape):
-        return BroadcastTo.apply(self, shape=shape)
 
 
 def _wrap(x) -> Tensor:
@@ -200,27 +181,9 @@ class Div(Function):
         return ga, gb
 
 
-class Neg(Function):
-    def forward(self, a):
-        return -a
-
-    def backward(self, g):
-        return (-g,)
-
-
-class MatMul(Function):
-    def forward(self, a, b):
-        self.a, self.b = a, b
-        return a @ b
-
-    def backward(self, g):
-        return g @ self.b.T, self.a.T @ g
-
-
 class GetItem(Function):
     def forward(self, a, key):
         self.shape = a.shape
-        self.dtype = a.dtype
         return a[key]
 
     def backward(self, g):
@@ -260,15 +223,6 @@ class Abs(Function):
         return (g * self.sign,)
 
 
-class Relu(Function):
-    def forward(self, a):
-        self.mask = a > 0
-        return np.maximum(a, 0)
-
-    def backward(self, g):
-        return (g * self.mask,)
-
-
 class Reshape(Function):
     def forward(self, a, shape):
         self.shape = a.shape
@@ -276,15 +230,6 @@ class Reshape(Function):
 
     def backward(self, g):
         return (g.reshape(self.shape),)
-
-
-class BroadcastTo(Function):
-    def forward(self, a, shape):
-        self.shape = a.shape
-        return np.broadcast_to(a, shape).copy()
-
-    def backward(self, g):
-        return (_unbroadcast(g, self.shape),)
 
 
 class Concat(Function):
@@ -301,13 +246,3 @@ class Concat(Function):
 def concat(tensors, axis=0):
     return Concat.apply(*[_wrap(t) for t in tensors], axis=axis)
 
-
-def mlp_apply(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
-    """ReLU MLP over engine tensors, mirroring the runtime forward."""
-    h = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = h @ w + b
-        if i != last:
-            h = h.relu()
-    return h

@@ -1,12 +1,14 @@
-"""Custom differentiable ops bridging the autodiff engine to the
-runtime's binding and rasterizers, plus semantic label construction.
+"""Differentiable ops over the runtime's own forward code: the student
+MLP and its inputs, blend shapes, the binding, and the mesh-map and
+splat rasterizers; plus semantic label construction.
 
-Per-step linearization: the runtime's binding, with its frames held.
-Each op's forward is the runtime's own; triangle frames, the SH basis
-and view direction, projection Jacobians, compositing order, and 2D
-covariances come from that forward and are constants inside the graph;
-only the contracted gradient paths (the binding's linear map, channel
-values, opacities, means through the weight exponent, and linear raster
+Each op's forward is the runtime's; its backward is written by hand.
+The MLP's backward chains the layers' linear maps and ReLU masks
+through the forward's activations. Triangle frames, the SH basis and view
+direction, projection Jacobians, compositing order, and 2D covariances
+come from the forward and are constants inside the graph; only the
+contracted gradient paths (the binding's linear map, channel values,
+opacities, means through the weight exponent, and linear raster
 weights) flow.
 """
 
@@ -17,7 +19,7 @@ from scipy import sparse
 from scipy.ndimage import correlate1d
 
 from .. import deform
-from ..assets import Camera, GaussianTexture, RiggedTemplate
+from ..assets import Camera, FrameInput, GaussianTexture, RiggedTemplate
 from ..gstexture import WorldGaussians, surface_points
 from ..splat import backproject_mean_grads, composite_backward, meshraster, splat_forward
 from .engine import Function, Tensor
@@ -99,6 +101,47 @@ def splat_render(
     return SplatRender.apply(
         means3d, values, opacity, camera=camera, rot_mats=rot_mats, scales=scales, threads=threads,
     )
+
+
+class MLP(Function):
+    """``deform.mlp_forward`` over ``x`` and the flat weights and biases."""
+
+    def forward(self, x, *weights):
+        self.x = x
+        self.layers = list(zip(weights[0::2], weights[1::2]))
+        self.acts = deform.mlp_activations(self.layers, x)
+        return self.acts[-1]
+
+    def backward(self, g):
+        need_x = self.parents[0].requires_grad_path
+        grads = []
+        for i in reversed(range(len(self.layers))):
+            if i != len(self.layers) - 1:
+                g = g * (self.acts[i] > 0)
+            h = self.acts[i - 1] if i else self.x.astype(self.acts[0].dtype)
+            grads[:0] = [h.T @ g, g.sum(axis=0)]
+            if i or need_x:
+                g = g @ self.layers[i][0].T
+        return (g if need_x else None, *grads)
+
+
+def mlp(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
+    return MLP.apply(x, *[t for layer in layers for t in layer])
+
+
+class StudentInputs(Function):
+    """``deform.student_inputs``; the embedding ``z``'s gradient is its
+    columns summed over the vertices."""
+
+    def forward(self, z, bundle=None, template=None, frame=None):
+        return deform.student_inputs(bundle, template, frame, z)
+
+    def backward(self, g):
+        return (g[:, -self.kwargs["bundle"].embed_dim:].sum(axis=0),)
+
+
+def student_inputs(bundle: deform.StudentBundle, template: RiggedTemplate, frame: FrameInput, z: Tensor) -> Tensor:
+    return StudentInputs.apply(z, bundle=bundle, template=template, frame=frame)
 
 
 class BlendShapes(Function):

@@ -1,12 +1,14 @@
 """Pre-training gradient validation.
 
 Every trainable path is finite-difference checked on small fixtures
-before training is allowed: plain linear layers, the deformation MLPs,
-mapping nets, blend shapes, D-SSIM, the non-rigid map loss, the splat
+before training is allowed: the runtime's MLP as training
+differentiates it (``ops.mlp``) as a linear layer, a deep net and a
+mapping net, blend shapes, D-SSIM, the non-rigid map loss, the splat
 backward (color / opacity / 2D mean), the projection Jacobian,
-training's differentiable splat end to end (``ops.splat_render``), and
-the runtime's binding as training differentiates it (``ops.bind``).
-Smooth paths must agree to 1e-3 relative, the splat paths to 1e-2.
+training's differentiable splat end to end (``ops.splat_render``), the
+runtime's binding (``ops.bind``), and bake's student field with its
+embedding row and cloth mask (``bake.student_delta_graph``). Smooth
+paths must agree to 1e-3 relative, the splat paths to 1e-2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from ..gstexture import init_texture
 from ..skinning import pose_skeleton, vertex_transforms
 from ..splat import backproject_mean_grads, composite, composite_backward, meshraster, project_gaussians
 from . import losses, ops
-from .engine import Tensor, mlp_apply
+from .bake import student_delta_graph
+from .engine import Tensor
 from .gradcheck import GradReport, grad_check
 
 TOL_SMOOTH = 1e-3
@@ -43,49 +46,35 @@ def engine_fn(build):
     return f
 
 
-def check_linear(seed: int = 0) -> GradReport:
+def _mlp_params(rng, dims, w_scale=0.5, b_scale=0.1) -> list[np.ndarray]:
+    """Flat (weight, bias) arrays of a random MLP with layer sizes ``dims``."""
+    return [p for a, b in zip(dims[:-1], dims[1:])
+            for p in (rng.normal(scale=w_scale, size=(a, b)), rng.normal(scale=b_scale, size=b))]
+
+
+def _check_mlp(seed, dims, rows, loss, tol, **scales) -> GradReport:
+    """``ops.mlp`` over random inputs, with ``loss`` of its residual."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(7, 5))
-    w = rng.normal(size=(5, 4))
-    b = rng.normal(size=4)
-    gt = rng.normal(size=(7, 4))
+    params = _mlp_params(rng, dims, **scales)
+    x = rng.normal(size=(rows, dims[0]))
+    gt = rng.normal(size=(rows, dims[-1]))
 
     def build(ts):
-        return ((Tensor(x) @ ts[0] + ts[1]) - Tensor(gt)).square().sum()
+        return loss(ops.mlp(list(zip(ts[0::2], ts[1::2])), Tensor(x)) - Tensor(gt))
 
-    return grad_check(engine_fn(build), [w, b], TOL_LINEAR, seed=seed)
+    return grad_check(engine_fn(build), params, tol, seed=seed)
+
+
+def check_linear(seed: int = 0) -> GradReport:
+    return _check_mlp(seed, [5, 4], 7, lambda r: r.square().sum(), TOL_LINEAR, w_scale=1.0, b_scale=1.0)
 
 
 def check_mlp(seed: int = 1) -> GradReport:
-    rng = np.random.default_rng(seed)
-    dims = [12, 16, 16, 16, 16, 3]
-    params = []
-    for i in range(len(dims) - 1):
-        params.append(rng.normal(scale=0.5, size=(dims[i], dims[i + 1])))
-        params.append(rng.normal(scale=0.1, size=dims[i + 1]))
-    x = rng.normal(size=(9, dims[0]))
-    gt = rng.normal(size=(9, 3))
-
-    def build(ts):
-        layers = [(ts[2 * i], ts[2 * i + 1]) for i in range(len(dims) - 1)]
-        return (mlp_apply(layers, Tensor(x)) - Tensor(gt)).abs().mean()
-
-    return grad_check(engine_fn(build), params, TOL_SMOOTH, seed=seed)
+    return _check_mlp(seed, [12, 16, 16, 16, 16, 3], 9, lambda r: r.abs().mean(), TOL_SMOOTH)
 
 
 def check_mapping_net(seed: int = 2) -> GradReport:
-    rng = np.random.default_rng(seed)
-    dims = [10, 24, 8]
-    params = [rng.normal(scale=0.5, size=(dims[0], dims[1])), rng.normal(scale=0.1, size=dims[1]),
-              rng.normal(scale=0.5, size=(dims[1], dims[2])), rng.normal(scale=0.1, size=dims[2])]
-    x = rng.normal(size=(4, dims[0]))
-    gt = rng.normal(size=(4, dims[2]))
-
-    def build(ts):
-        layers = [(ts[0], ts[1]), (ts[2], ts[3])]
-        return (mlp_apply(layers, Tensor(x)) - Tensor(gt)).square().sum()
-
-    return grad_check(engine_fn(build), params, TOL_SMOOTH, seed=seed)
+    return _check_mlp(seed, [10, 24, 8], 4, lambda r: r.square().sum(), TOL_SMOOTH)
 
 
 def check_blend_shapes(seed: int = 3) -> GradReport:
@@ -241,6 +230,41 @@ def check_bind(seed: int = 9) -> GradReport:
     return GradReport(max(a.max_rel, b.max_rel), a.checked + b.checked, a.failures + b.failures, TOL_SMOOTH)
 
 
+def check_student(seed: int = 11) -> GradReport:
+    """Bake's student field (``bake.student_delta_graph``) in float64 on a
+    small clothed rig, for the embedding table and both nets (the cloth
+    net through the cloth mask). No evaluation may flip a pre-activation's
+    sign: with 8 hidden units no ReLU kink lies within FD reach of the
+    point checked (with 128 units some do)."""
+    template = assets.make_capsule_rig(3, cloth=True, seed=seed, n_around=6)
+    frame = assets.make_swing_motion(template, 2, seed=seed, resolution=(16, 16)).frames[1]
+    bundle = deform.init_bundle(template, init_texture(template, 1, 1, seed=seed), 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    dims = [bundle.input_dim, 8, 8, 3]
+    params = [rng.normal(scale=0.5, size=bundle.z_table.shape), *_mlp_params(rng, dims), *_mlp_params(rng, dims)]
+    g_out = rng.normal(size=(template.num_vertices, 3))
+
+    def nets(arrays):  # the body and cloth layers of [z_table, *body, *cloth]
+        return [list(zip(arrays[i:i + 6:2], arrays[i + 1:i + 6:2])) for i in (1, 7)]
+
+    def signs(arrays):
+        x = deform.student_inputs(bundle, template, frame, arrays[0][1])
+        return np.concatenate([a.ravel() > 0 for net in nets(arrays) for a in deform.mlp_activations(net, x)[:-1]])
+
+    base, flips = signs(params), []
+
+    def build(ts):
+        flips.append(np.count_nonzero(signs([t.data for t in ts]) != base))
+        sb, sc = nets(ts)
+        return (student_delta_graph({"z_table": ts[0], "sb": sb, "sc": sc}, template, bundle, frame, 1)
+                * Tensor(g_out)).sum()
+
+    report = grad_check(engine_fn(build), params, TOL_SMOOTH, seed=seed)
+    if any(flips):
+        raise ValueError("preflight 'student': a ReLU kink lies within FD reach of its fixture")
+    return report
+
+
 SUITES = {
     "linear": check_linear,
     "mlp": check_mlp,
@@ -252,6 +276,7 @@ SUITES = {
     "projection": check_projection,
     "splat_render": check_splat_render,
     "bind": check_bind,
+    "student": check_student,
 }
 
 

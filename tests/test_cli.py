@@ -83,6 +83,14 @@ def test_render_relight_requires_normals(workdir):
                        "--out", str(workdir / "r.ppm")]) == 2
 
 
+@pytest.mark.parametrize("light", ["0,0,0", "nan,0,1"])
+def test_render_relight_rejects_zero_or_non_finite_light(workdir, light):
+    out = workdir / "bad_light.ppm"
+    assert run(["render", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
+                "--res", "32x32", "--relight", light, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_animate_writes_all_frames(workdir, capsys):
     out_dir = workdir / "anim"
     assert run(["animate", "--template", str(workdir / "rig.tpl"),
@@ -102,6 +110,12 @@ def test_bench_summary_fields(capsys):
     assert run(["bench", "--gaussians", "5000", "--res", "64x64", "--frames", "1"]) == 0
     fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
     assert 0.0 < float(fields["saturated_px_frac"]) < 0.01
+
+
+@pytest.mark.parametrize("frames", ["0", "-2"])
+def test_bench_rejects_frames_below_one(frames, capsys):
+    assert run(["bench", "--gaussians", "100", "--res", "32x32", "--frames", frames]) == 3
+    assert "frames" in capsys.readouterr().err
 
 
 def test_preflight_reports_every_suite(capsys):
@@ -145,6 +159,17 @@ def test_bake_finetune_quantize_flow(workdir, capsys, tmp_path):
 
     q = deform.load_bundle(workdir / "deploy.stu")
     assert q.precision == "fp16"
+
+
+@pytest.mark.parametrize("flag", [["--lambda-ssim", "nan"], ["--tau", "nan"], ["--tau", "inf"],
+                                  ["--map-res", "0"], ["--map-res", "-3"]])
+def test_bake_rejects_bad_settings_before_writing(workdir, tmp_path, flag, capsys):
+    out = tmp_path / "b.stu"
+    assert run(["bake", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
+                "--frames", "2", "--res", "32x32", "--map-res", "32", "--iterations", "1",
+                "--skip-preflight", "--out", str(out)] + flag) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("flag", [["--tau", "1"], ["--lambda-nor", "0"], ["--lambda-non", "0"],

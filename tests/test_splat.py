@@ -714,6 +714,13 @@ def test_mesh_raster_rejects_non_finite_vertices(clothed_rig):
         splat.map_caches(verts, clothed_rig.faces, 16, bounds)
 
 
+@pytest.mark.parametrize("res", [0, -3, (16, 0)])
+def test_map_caches_rejects_resolution_below_one(clothed_rig, res):
+    # every map path (the teacher's maps, bake, evaluate_nonrigid) builds here
+    with pytest.raises(assets.ValidationError, match="map resolution"):
+        splat.map_caches(clothed_rig.vertices, clothed_rig.faces, res)
+
+
 # ---------------------------------------------------------------------------
 # relighting
 
@@ -741,6 +748,14 @@ def test_relight_aligned_light_closed_form():
     normal[..., 2] = 1.0
     out = splat.relight(color, normal, (0.0, 0.0, 1.0), light_rgb=(0.8, 0.8, 0.8), ambient=0.2)
     assert np.abs(out - 0.5).max() < 1e-6
+
+
+@pytest.mark.parametrize("light", [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0)])
+def test_relight_rejects_zero_or_non_finite_light(light):
+    color = np.full((4, 4, 3), 0.5, np.float32)
+    normal = np.zeros((4, 4, 3), np.float32)
+    with pytest.raises(assets.ValidationError, match="light direction"):
+        splat.relight(color, normal, light)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from meshsplat import assets, deform, gstexture, splat, teacher, train
 from meshsplat.train import engine, losses, ops
+from meshsplat.train.bake import blend_coeffs_graph, student_delta_graph
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +350,51 @@ def _live_bundle(t, tex, mot):
         blend_col=rng.normal(scale=0.05, size=bundle.blend_col.shape).astype(np.float32))
 
 
+def _graph_net(layers):
+    return [(train.Tensor(w, requires_grad=True), train.Tensor(b, requires_grad=True)) for w, b in layers]
+
+
+def _random_student(t, tex, mot):
+    # every layer live and a nonzero embedding table
+    bundle = _live_bundle(t, tex, mot)
+    rng = np.random.default_rng(10)
+
+    def live(layers):
+        return [(rng.normal(scale=1.0 / np.sqrt(w.shape[0]), size=w.shape).astype(np.float32),
+                 rng.normal(scale=0.05, size=b.shape).astype(np.float32)) for w, b in layers]
+
+    return dataclasses.replace(
+        bundle, body_mlp=live(bundle.body_mlp), cloth_mlp=live(bundle.cloth_mlp),
+        head_map=live(bundle.head_map), body_map=live(bundle.body_map),
+        z_table=rng.normal(scale=0.1, size=bundle.z_table.shape).astype(np.float32))
+
+
+def test_bake_student_graph_is_runtime_student(tiny_setup):
+    # bake differentiates the runtime's own student: its deltas are
+    # student_deform's, bit for bit, cloth mask and embedding row included
+    t, tex, mot, _ = tiny_setup
+    bundle = _random_student(t, tex, mot)
+    params = {"sb": _graph_net(bundle.body_mlp), "sc": _graph_net(bundle.cloth_mlp),
+              "z_table": train.Tensor(bundle.z_table, requires_grad=True)}
+    assert t.cloth_mask.any() and not t.cloth_mask.all()
+    for i, frame in enumerate(mot.frames):
+        graph = student_delta_graph(params, t, bundle, frame, i).data
+        runtime = deform.student_deform(bundle, t, frame, frame_index=i)
+        assert graph.dtype == runtime.dtype == np.float32
+        assert np.array_equal(graph, runtime)
+
+
+def test_finetune_coeffs_graph_is_runtime_blend_coeffs(tiny_setup):
+    t, tex, mot, _ = tiny_setup
+    bundle = _random_student(t, tex, mot)
+    params = {"maph": _graph_net(bundle.head_map), "mapb": _graph_net(bundle.body_map)}
+    for frame in mot.frames:
+        graph = blend_coeffs_graph(params, frame).data
+        runtime = deform.blend_coeffs(bundle, frame)
+        assert graph.dtype == runtime.dtype == np.float32
+        assert np.array_equal(graph, runtime)
+
+
 def test_finetune_fixed_point_when_gt_matches(tiny_setup):
     t, tex, mot, src = tiny_setup
     for bundle in (_bundle_for(t, tex, mot), _live_bundle(t, tex, mot)):
@@ -472,3 +518,13 @@ def test_loss_weights_validation():
         train.LossWeights(ssim=-0.1).validate()
     with pytest.raises(assets.ValidationError):
         train.TrainConfig(iterations=0).validate()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_weights_and_tau_rejected(bad):
+    # NaN fails every comparison, so "< 0" alone would let it through
+    for name in ("ssim", "lpips", "nor", "non", "sem"):
+        with pytest.raises(assets.ValidationError, match=name):
+            train.LossWeights(**{name: bad}).validate()
+    with pytest.raises(assets.ValidationError, match="tau"):
+        train.TrainConfig(tau=bad).validate()
