@@ -335,11 +335,13 @@ def cmd_bench(args) -> int:
                                     focal_px=1.1 * max(w, h), near=0.1, far=20.0)
 
     from .splat import composite, order_key, project_gaussians
-    from .splat.tiles import bin_gaussians
+    from .splat.tiles import tile_pairs
 
     # A frame is what ``render`` runs: project, cull, order by the sort
-    # key and composite, which bins internally. ``bin_ms`` times that
-    # binning once more on its own, outside ``fps`` and ``total_ms``.
+    # key and composite, which builds its tile pair lists internally.
+    # ``bin_ms`` times those lists (``tile_pairs``: bin, then cull to the
+    # 3-sigma ellipse) once more on their own, outside ``fps`` and
+    # ``total_ms``.
     stage = {"project": 0.0, "bin": 0.0, "composite": 0.0}
     for _ in range(args.frames):
         t0 = time.perf_counter()
@@ -351,7 +353,7 @@ def cmd_bench(args) -> int:
                              np.ascontiguousarray(wg.color[idx]), key, proj.radius[idx],
                              w, h, threads=args.threads)
         t2 = time.perf_counter()
-        bin_gaussians(proj.means2d[idx], proj.radius[idx], key, w, h)
+        tile_pairs(proj.means2d[idx], proj.conic[idx], proj.radius[idx], key, w, h)
         stage["project"] += t1 - t0
         stage["composite"] += t2 - t1
         stage["bin"] += time.perf_counter() - t2
@@ -391,7 +393,8 @@ def cmd_preflight(args) -> int:
     reports = train_mod.run_preflight()
     ok = True
     for name, r in reports.items():
-        print(_summary(check=name, ok=r.ok, max_rel=r.max_rel, checked=r.checked, tol=r.tol))
+        print(_summary(check=name, ok=r.ok, max_rel=r.max_rel, max_abs=r.max_abs, checked=r.checked,
+                       tol=r.tol))
         ok = ok and r.ok
     print(_summary(status="ok" if ok else "failed", cmd="preflight", suites=len(reports)))
     return EXIT_OK if ok else EXIT_VALIDATION

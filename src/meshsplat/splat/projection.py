@@ -21,7 +21,6 @@ from ..assets import Camera, ValidationError
 
 EIG_FLOOR = 0.3        # px^2, low-pass clamp on projected covariance
 CUTOFF_SIGMA_SQ = 9.0  # 3-sigma footprint cutoff (Mahalanobis^2)
-RADIUS_FLOOR = 0.3     # px, dilation floor on the binning radius
 
 
 @dataclass
@@ -122,7 +121,7 @@ def project_gaussians(
     det = cov2d[:, 0] * cov2d[:, 2] - cov2d[:, 1] ** 2
     det = np.where(det <= 1e-12, 1e-12, det)
     conic = np.stack([cov2d[:, 2] / det, -cov2d[:, 1] / det, cov2d[:, 0] / det], axis=1)
-    radius = np.maximum(3.0 * np.sqrt(np.maximum(lam_max, 0.0)), RADIUS_FLOOR)
+    radius = 3.0 * np.sqrt(lam_max)  # lam_max >= EIG_FLOOR
 
     return Projected(means2d=means2d, depth=z, conic=conic, radius=radius, jac=jac, visible=visible)
 

@@ -17,10 +17,11 @@ ABS_FLOOR = 1e-7  # differences below this are noise, not disagreement
 
 @dataclass
 class GradReport:
-    max_rel: float
+    max_rel: float  # over the coordinates whose difference is above ABS_FLOOR
     checked: int
     failures: list = field(default_factory=list)  # (param, coord, analytic, numeric, rel)
     tol: float = 0.0
+    max_abs: float = 0.0  # largest |analytic - numeric| over every checked coordinate
 
     @property
     def ok(self) -> bool:
@@ -28,7 +29,8 @@ class GradReport:
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} failing"
-        return f"grad_check: {status}, max_rel={self.max_rel:.3e}, checked={self.checked}, tol={self.tol:g}"
+        return (f"grad_check: {status}, max_rel={self.max_rel:.3e}, max_abs={self.max_abs:.3e}, "
+                f"checked={self.checked}, tol={self.tol:g}")
 
 
 def grad_check(
@@ -43,7 +45,8 @@ def grad_check(
 
     Relative error is |analytic - numeric| / max(|analytic|, |numeric|,
     1e-6); coordinates whose difference is below the absolute noise floor
-    always pass.
+    always pass and are left out of ``max_rel``, but not out of
+    ``max_abs``.
     """
     params = [np.asarray(p, dtype=np.float64) for p in params]
     _, grads = f(params)
@@ -75,6 +78,7 @@ def grad_check(
             diff = abs(analytic - numeric)
             rel = diff / max(abs(analytic), abs(numeric), 1e-6)
             report.checked += 1
+            report.max_abs = max(report.max_abs, diff)
             if diff <= ABS_FLOOR:
                 continue
             report.max_rel = max(report.max_rel, rel)

@@ -227,7 +227,8 @@ def check_bind(seed: int = 9) -> GradReport:
         return grad_check(engine_fn(build), [point[name] for name in names], TOL_SMOOTH, seed=seed)
 
     a, b = check(("delta", "gamma", "du"), (0,)), check(("sh", "dc", "opacity_logit"), (1, 2))
-    return GradReport(max(a.max_rel, b.max_rel), a.checked + b.checked, a.failures + b.failures, TOL_SMOOTH)
+    return GradReport(max(a.max_rel, b.max_rel), a.checked + b.checked, a.failures + b.failures, TOL_SMOOTH,
+                      max(a.max_abs, b.max_abs))
 
 
 def check_student(seed: int = 11) -> GradReport:

@@ -124,6 +124,7 @@ def test_preflight_reports_every_suite(capsys):
     records = [dict(kv.split("=", 1) for kv in line.split()) for line in lines]
     assert [r["check"] for r in records[:-1]] == list(SUITES)
     assert all(r["ok"] == "True" for r in records[:-1])
+    assert all(0.0 <= float(r["max_abs"]) < 1e-3 for r in records[:-1])
     assert records[-1]["suites"] == str(len(SUITES))
 
 

@@ -182,11 +182,11 @@ def _count_weight_evals(monkeypatch):
 
 
 def _dense_evals(args):
-    """(pair, tile pixel) entries the dense compositor evaluates on an
-    image of whole tiles."""
-    means2d, _, _, _, depth, radius, width, height = args
+    """(pair, tile pixel) entries the compositor evaluates without an early
+    stop on an image of whole tiles: every pixel of every culled pair."""
+    means2d, conic, _, _, depth, radius, width, height = args
     assert width % tiles.TILE == 0 and height % tiles.TILE == 0
-    return tiles.bin_gaussians(means2d, radius, depth, width, height)[0].size * tiles.TILE ** 2
+    return tiles.tile_pairs(means2d, conic, radius, depth, width, height)[0].size * tiles.TILE ** 2
 
 
 def _output_rounding(ref, dtype):
@@ -272,12 +272,11 @@ def _conics_2d(sigmas, angles):
     return np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 1]], axis=1), 3.0 * sigmas.max(axis=1)
 
 
-@pytest.mark.parametrize("case", ["wide_far", "thin_floor", "edge_tiles"])
-def test_tile_local_form_matches_reference_on_cancellation_cases(case):
-    # the exponent is expanded about each tile's centre, so its constant
-    # and linear terms grow with the mean's distance from the tile and
-    # with the conic; a 90x70 image also has partial tiles on two sides
-    rng = np.random.default_rng(13)
+CANCELLATION_CASES = ["wide_far", "thin_floor", "edge_tiles"]
+
+
+def _cancellation_args(case, rng):
+    """``composite``'s arguments for 24 2D Gaussians on a 90x70 image."""
     width, height = 90, 70
     n = 24
     means2d = rng.uniform((0, 0), (width, height), size=(n, 2))
@@ -295,10 +294,72 @@ def test_tile_local_form_matches_reference_on_cancellation_cases(case):
     conic, radius = _conics_2d(sigmas, angles)
     opacity = rng.uniform(0.2, 0.6, n)
     values = np.concatenate([rng.random((n, 3)), rng.uniform(2.5, 3.5, (n, 1))], axis=1)
-    args = (means2d, conic, opacity, values, rng.random(n), radius, width, height)
+    return means2d, conic, opacity, values, rng.random(n), radius, width, height
+
+
+@pytest.mark.parametrize("case", CANCELLATION_CASES)
+def test_tile_local_form_matches_reference_on_cancellation_cases(case):
+    # the exponent is expanded about each tile's centre, so its constant
+    # and linear terms grow with the mean's distance from the tile and
+    # with the conic; a 90x70 image also has partial tiles on two sides
+    rng = np.random.default_rng(13)
+    args = _cancellation_args(case, rng)
     _, _, d_means = _assert_equals_reference_where_no_pixel_stops(args, rng)
     if case == "wide_far":
         assert (np.abs(d_means[:2]) > 0).all()  # the far Gaussians reach the image
+
+
+def _tangent_args(offset):
+    """One Gaussian on a 32x32 image whose 3-sigma ellipse passes ``offset``
+    px beyond the pixel centre (15.5, 15.5), the corner of tile 0's
+    pixel-centre box nearest to it (inside the ellipse for a negative
+    offset). Its short axis (sigma 2) points along the diagonal at 45
+    degrees, so that corner is where the box comes closest."""
+    conic, radius = _conics_2d(np.array([[2.0, 4.0]]), np.array([np.pi / 4]))
+    means2d = 15.5 + (6.0 + offset) / np.sqrt(2.0) * np.ones((1, 2))
+    return means2d, conic, np.array([0.5]), np.array([[0.2, 0.4, 0.6]]), np.zeros(1), radius, 32, 32
+
+
+def _cull_scene(scene, request):
+    if scene == "shell":
+        wg, cam = _opaque_shell(request.getfixturevalue("clothed_rig"),
+                                request.getfixturevalue("clothed_texture"))
+        return _composite_args(wg, cam)
+    if scene.startswith("tangent"):
+        return _tangent_args(float(scene.split(":")[1]))
+    return _cancellation_args(scene, np.random.default_rng(13))
+
+
+@pytest.mark.parametrize("scene", [*CANCELLATION_CASES, "tangent:-1e-7", "tangent:1e-7",
+                                   "tangent:1e-3", "shell"])
+def test_culled_pairs_have_zero_weight_over_their_tile(scene, request):
+    """``tile_pairs`` keeps ``bin_gaussians``' pairs in order, and every
+    pair it drops has dense weight 0 (the oracle's direct form) at every
+    pixel of its tile."""
+    args = _cull_scene(scene, request)
+    means2d, conic, _, _, key, radius, width, height = args
+    bin_t, bin_g = tiles.bin_gaussians(means2d, radius, key, width, height)
+    kept_t, kept_g = tiles.tile_pairs(means2d, conic, radius, key, width, height)
+    kept = set(zip(kept_t.tolist(), kept_g.tolist()))
+    mask = np.array([pair in kept for pair in zip(bin_t.tolist(), bin_g.tolist())], dtype=bool)
+    assert np.array_equal(bin_t[mask], kept_t) and np.array_equal(bin_g[mask], kept_g)
+
+    _, ref_cache = reference_composite(*args)
+    ntx = -(-width // tiles.TILE)
+    weight_of = {}
+    for x0, y0, ids, w in ref_cache:
+        t = (y0 // tiles.TILE) * ntx + x0 // tiles.TILE
+        weight_of.update({(t, i): row for i, row in zip(ids.tolist(), w)})
+    dropped = [pair for pair in weight_of if pair not in kept]
+    assert all(not weight_of[pair].any() for pair in dropped)
+    if scene == "shell":
+        assert len(dropped) > 0.1 * bin_t.size
+    elif scene == "tangent:-1e-7":  # reaches the corner pixel by 1.5e-7 in the exponent
+        assert (0, 0) in kept and weight_of[(0, 0)][-1] > 0
+    elif scene == "tangent:1e-7":  # misses it, within the cull's margin
+        assert not weight_of[(0, 0)].any()
+    elif scene == "tangent:1e-3":
+        assert (0, 0) in dropped
 
 
 def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture):

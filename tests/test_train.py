@@ -151,6 +151,19 @@ def test_grad_check_passes_correct_gradients():
     assert r.ok
 
 
+def test_grad_check_reports_max_abs_below_the_noise_floor():
+    # an error below ABS_FLOOR passes and stays out of max_rel, but
+    # max_abs still shows it
+    def f(params):
+        (x,) = params
+        return float((x ** 2).sum()), [2.0 * x + 5e-8]
+
+    r = train.grad_check(f, [np.array([1.0, 2.0, 3.0])], tol=1e-3)
+    assert r.ok and r.max_rel == 0.0
+    assert abs(r.max_abs - 5e-8) < 1e-9
+    assert "max_abs=5.0" in r.summary()
+
+
 # ---------------------------------------------------------------------------
 # quantization
 
