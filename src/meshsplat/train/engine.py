@@ -5,9 +5,10 @@ accumulation, broadcasting) and the generic array ops the losses are
 built from: arithmetic, indexing, sums, reshape and concatenation. The
 model's ops, whose forward is the runtime's own code (the student MLP,
 the binding, the splat), live in ``ops``. Every backward is written by
-hand and checked against finite differences. Dtype follows the input
-arrays, so the same graphs run in float32 for training and float64 for
-gradient checking.
+hand and checked against finite differences. A graph runs in its input
+arrays' dtype: a Python number takes the other operand's, and
+``Tensor.backward`` casts each gradient to its tensor's. So training's
+graphs run in float32 end to end and the gradient checks' in float64.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class Tensor:
             for parent, g in zip(node.ctx.parents, grads):
                 if g is None or not parent.requires_grad_path:
                     continue
+                g = g.astype(parent.data.dtype, copy=False)
                 if parent.grad is None:
                     parent.grad = g
                 else:
@@ -75,23 +77,20 @@ class Tensor:
 
     # operator sugar
     def __add__(self, other):
-        return Add.apply(self, _wrap(other))
+        return Add.apply(self, _wrap(other, self))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Sub.apply(self, _wrap(other))
+        return Sub.apply(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return Sub.apply(_wrap(other), self)
+        return Sub.apply(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return Mul.apply(self, _wrap(other))
+        return Mul.apply(self, _wrap(other, self))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Div.apply(self, _wrap(other))
 
     def __getitem__(self, key):
         return GetItem.apply(self, key=key)
@@ -112,8 +111,11 @@ class Tensor:
         return Reshape.apply(self, shape=shape)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+def _wrap(x, like: Tensor | None = None) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    weak = like is not None and isinstance(x, (int, float))  # a Python number takes like's dtype
+    return Tensor(np.asarray(x, dtype=like.data.dtype if weak else None))
 
 
 def constant(x) -> Tensor:
@@ -168,17 +170,6 @@ class Mul(Function):
 
     def backward(self, g):
         return _unbroadcast(g * self.b, self.a.shape), _unbroadcast(g * self.a, self.b.shape)
-
-
-class Div(Function):
-    def forward(self, a, b):
-        self.a, self.b = a, b
-        return a / b
-
-    def backward(self, g):
-        ga = _unbroadcast(g / self.b, self.a.shape)
-        gb = _unbroadcast(-g * self.a / (self.b * self.b), self.b.shape)
-        return ga, gb
 
 
 class GetItem(Function):

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..assets import DeformationMap, ValidationError
 from .engine import Tensor, constant
-from .ops import conv_gaussian
+from .ops import SSIM
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -41,16 +41,8 @@ def ssim(pred: Tensor, gt: np.ndarray) -> Tensor:
     """Mean SSIM with an 11x11 Gaussian window (sigma 1.5), stabilized by
     the standard constants for unit dynamic range."""
     _check_same_shape(pred.data, gt)
-    window = gaussian_window()
-    g = constant(gt.astype(pred.data.dtype))
-    mu_x = conv_gaussian(pred, window)
-    mu_y = conv_gaussian(g, window)
-    sig_x = conv_gaussian(pred * pred, window) - mu_x * mu_x
-    sig_y = conv_gaussian(g * g, window) - mu_y * mu_y
-    sig_xy = conv_gaussian(pred * g, window) - mu_x * mu_y
-    num = (mu_x * mu_y * 2.0 + SSIM_C1) * (sig_xy * 2.0 + SSIM_C2)
-    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sig_x + sig_y + SSIM_C2)
-    return (num / den).mean()
+    dtype = pred.data.dtype
+    return SSIM.apply(pred, y=gt.astype(dtype), kernel=gaussian_window().astype(dtype), c1=SSIM_C1, c2=SSIM_C2)
 
 
 def loss_dssim(pred: Tensor, gt: np.ndarray) -> Tensor:

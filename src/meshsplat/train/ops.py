@@ -1,6 +1,6 @@
 """Differentiable ops over the runtime's own forward code: the student
 MLP and its inputs, blend shapes, the binding, and the mesh-map and
-splat rasterizers; plus semantic label construction.
+splat rasterizers; plus SSIM and semantic label construction.
 
 Each op's forward is the runtime's; its backward is written by hand.
 The MLP's backward chains the layers' linear maps and ReLU masks
@@ -35,32 +35,11 @@ class MeshMapApply(Function):
         return img.astype(attrs.dtype)
 
     def backward(self, g):
-        return (self.cache.backward(g).astype(g.dtype),)
+        return (self.cache.backward(g),)
 
 
 def mesh_map_apply(attrs: Tensor, cache: meshraster.RasterCache) -> Tensor:
     return MeshMapApply.apply(attrs, cache=cache)
-
-
-class ConvGaussianSame(Function):
-    """Depthwise separable blur, zero-padded 'same'. The kernel is
-    symmetric, so backward is the same blur of the upstream gradient."""
-
-    def forward(self, img, kernel=None):
-        self.kernel = kernel
-        return self._blur(img, kernel)
-
-    @staticmethod
-    def _blur(img, kernel):
-        out = correlate1d(img, kernel, axis=0, mode="constant", cval=0.0)
-        return correlate1d(out, kernel, axis=1, mode="constant", cval=0.0)
-
-    def backward(self, g):
-        return (self._blur(g, self.kernel),)
-
-
-def conv_gaussian(img: Tensor, kernel: np.ndarray) -> Tensor:
-    return ConvGaussianSame.apply(img, kernel=np.asarray(kernel, dtype=img.data.dtype))
 
 
 class SplatRender(Function):
@@ -81,12 +60,12 @@ class SplatRender(Function):
         d_values, d_opacity, d_means2d = composite_backward(self.cache, g)
         n = self.proj.means2d.shape[0]
         d2d = np.zeros((n, 2))
-        gv = np.zeros((n, d_values.shape[1]), dtype=g.dtype)
-        go = np.zeros(n, dtype=g.dtype)
+        gv = np.zeros((n, d_values.shape[1]))
+        go = np.zeros(n)
         d2d[self.idx] = d_means2d
         gv[self.idx] = d_values
         go[self.idx] = d_opacity
-        return backproject_mean_grads(self.proj, d2d).astype(g.dtype), gv, go
+        return backproject_mean_grads(self.proj, d2d), gv, go
 
 
 def splat_render(
@@ -101,6 +80,40 @@ def splat_render(
     return SplatRender.apply(
         means3d, values, opacity, camera=camera, rot_mats=rot_mats, scales=scales, threads=threads,
     )
+
+
+class SSIM(Function):
+    """Mean SSIM (Wang et al., IEEE TIP 2004) of ``x`` against the fixed
+    image ``y`` over Gaussian windows (``kernel`` along both axes,
+    zero-padded 'same'): S = A1 A2 / (B1 B2) per pixel, with
+    A1 = 2 mx my + c1, B1 = mx² + my² + c1, A2 = 2 sxy + c2 and
+    B2 = sx² + sy² + c2. The backward is closed-form through the blurred
+    moments mx = G*x, G*x² and G*xy. At x = y, A1 == B1 and A2 == B2 bit
+    for bit, so every term of the gradient is exactly 0."""
+
+    def forward(self, x, y=None, kernel=None, c1=None, c2=None):
+        self.x = x
+        self.mu_x, self.mu_y = mu_x, mu_y = self._blur(x), self._blur(y)
+        sig_x = self._blur(x * x) - mu_x * mu_x
+        sig_y = self._blur(y * y) - mu_y * mu_y
+        sig_xy = self._blur(x * y) - mu_x * mu_y
+        self.a1 = mu_x * mu_y * 2.0 + c1
+        self.b1 = mu_x * mu_x + mu_y * mu_y + c1
+        self.a2 = sig_xy * 2.0 + c2
+        self.b2 = sig_x + sig_y + c2
+        self.s = self.a1 * self.a2 / (self.b1 * self.b2)
+        return np.asarray(self.s.sum() * (1.0 / self.s.size))
+
+    def _blur(self, img):
+        kernel = self.kwargs["kernel"]
+        out = correlate1d(img, kernel, axis=0, mode="constant", cval=0.0)
+        return correlate1d(out, kernel, axis=1, mode="constant", cval=0.0)
+
+    def backward(self, g):
+        s, mu_x, mu_y, a2, b2 = self.s, self.mu_x, self.mu_y, self.a2, self.b2
+        d_mu = s * 2.0 * ((mu_y / self.a1 - mu_x / self.b1) + (mu_x / b2 - mu_y / a2))
+        dx = self._blur(d_mu) + (self.kwargs["y"] * self._blur(s / a2) - self.x * self._blur(s / b2)) * 2.0
+        return (dx * (g * (1.0 / s.size)),)
 
 
 class MLP(Function):

@@ -62,7 +62,7 @@ class Adam:
             for i, p in enumerate(params):
                 if p.grad is None:
                     continue
-                g = p.grad.astype(p.data.dtype)
+                g = p.grad
                 m = self.m[(name, i)]
                 v = self.v[(name, i)]
                 if (name, i) in self.row_t:

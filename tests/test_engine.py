@@ -40,11 +40,11 @@ def test_add_mul_broadcasting():
     fd_check(lambda ts: ((ts[0] + ts[1]) * ts[1]).sum(), [a, b])
 
 
-def test_sub_div():
+def test_sub_broadcasting():
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(3, 4)) + 3.0
-    b = rng.normal(size=(3, 4)) + 3.0
-    fd_check(lambda ts: ((ts[0] - ts[1]) / ts[1]).sum(), [a, b])
+    a = rng.normal(size=(3, 4))
+    b = rng.normal(size=(4,))
+    fd_check(lambda ts: ((ts[0] - ts[1]) * (1.0 - ts[1])).sum(), [a, b])
 
 
 def test_matmul():
@@ -116,6 +116,21 @@ def test_mean_scalar():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 7))
     fd_check(lambda ts: ts[0].mean(), [a])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_python_scalars_keep_the_graph_dtype(dtype):
+    # a Python number takes its tensor's dtype
+    rng = np.random.default_rng(10)
+    t = Tensor(rng.normal(size=(4, 3)).astype(dtype), requires_grad=True)
+    out = ((t * 0.5 + 2) * (1.0 - t)).abs().mean()
+    assert out.data.dtype == dtype
+    out.backward()
+    assert t.grad.dtype == dtype
+    # every gradient is cast to its tensor's dtype, whatever a backward returns
+    t.grad = None
+    (t * constant(np.ones(3))).sum().backward()
+    assert t.grad.dtype == dtype
 
 
 def test_backward_requires_scalar():

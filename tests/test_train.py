@@ -22,9 +22,15 @@ def test_losses_zero_on_identical_inputs():
     l1.backward()
     assert np.all(pred.grad == 0)
 
-    pred = engine.Tensor(img.copy(), requires_grad=True)
-    d = losses.loss_dssim(pred, img)
-    assert abs(float(d.data)) < 1e-12
+    # D-SSIM's gradient is exactly 0 at its optimum, in either precision
+    for dtype in (np.float32, np.float64):
+        pred = engine.Tensor(img.astype(dtype), requires_grad=True)
+        d = losses.loss_dssim(pred, img)
+        assert d.data.dtype == dtype
+        assert abs(float(d.data)) < 1e-12
+        d.backward()
+        assert pred.grad.dtype == dtype
+        assert np.all(pred.grad == 0)
     assert abs(float(losses.ssim(engine.constant(img), img).data) - 1.0) < 1e-12
 
 
@@ -337,20 +343,46 @@ def _max_move(layers, before):
     return max(np.abs(w - w0).max() for (w, _), (w0, _) in zip(layers, before))
 
 
-def test_bake_fixed_point_when_gt_matches(clothed_rig, clothed_texture, motion):
-    # bake splats the runtime's own means, colours and opacities, so at
-    # its own renders the residual is exactly zero and nothing moves
-    bundle = deform.init_bundle(clothed_rig, clothed_texture, n_frames=len(motion), seed=5)
-    front, back, bounds = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 48)
-    dmap = splat.apply_map_caches(front, back, bounds, np.zeros_like(clothed_rig.vertices))
-    gt = teacher.TeacherSource(_own_renders(clothed_rig, clothed_texture, bundle, motion, dmap), 48)
-    cfg = train.TrainConfig(iterations=6, map_resolution=48,
+def _assert_bake_fixed_point(t, tex0, mot):
+    # bake splats the runtime's own means, colours and opacities, and
+    # D-SSIM's gradient is exactly 0 at x = y, so at its own renders the
+    # residual is exactly zero and nothing moves
+    bundle = deform.init_bundle(t, tex0, n_frames=len(mot), seed=5)
+    front, back, bounds = splat.map_caches(t.vertices, t.faces, 48)
+    dmap = splat.apply_map_caches(front, back, bounds, np.zeros_like(t.vertices))
+    gt = teacher.TeacherSource(_own_renders(t, tex0, bundle, mot, dmap), 48)
+    cfg = train.TrainConfig(iterations=12, map_resolution=48,
                             weights=train.LossWeights(nor=0.0, non=0.0, sem=0.0))
-    baked, tex, hist = train.bake(clothed_rig, clothed_texture, bundle, gt, motion, cfg)
-    assert [r["l1"] for r in hist] == [0.0] * 6
-    assert np.abs(tex.gamma - clothed_texture.gamma).max() < 1e-10
+    baked, tex, hist = train.bake(t, tex0, bundle, gt, mot, cfg)
+    assert [r["l1"] for r in hist] == [0.0] * 12
+    assert [r["dssim"] for r in hist] == [0.0] * 12
+    assert np.abs(tex.gamma - tex0.gamma).max() < 1e-10
     assert _max_move(baked.body_mlp, bundle.body_mlp) < 1e-10
     assert _max_move(baked.cloth_mlp, bundle.cloth_mlp) < 1e-10
+
+
+def test_bake_fixed_point_when_gt_matches(clothed_rig, clothed_texture, motion):
+    _assert_bake_fixed_point(clothed_rig, clothed_texture, motion)  # the 6-joint 64² rig
+
+
+def test_bake_fixed_point_on_the_4_joint_rig(tiny_setup):
+    _assert_bake_fixed_point(*tiny_setup[:3])  # 48², where float64 D-SSIM noise once flipped a bit
+
+
+def test_bake_steps_adam_with_float32_gradients(tiny_setup, monkeypatch):
+    # the training graph runs in its parameters' precision: every loss
+    # term is on, and every gradient Adam receives is float32
+    t, tex, mot, src = tiny_setup
+    seen = []
+    step = train.Adam.step
+
+    def spy(self):
+        seen.extend(p.grad.dtype for params in self.groups.values() for p in params if p.grad is not None)
+        step(self)
+
+    monkeypatch.setattr(train.Adam, "step", spy)
+    train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, train.TrainConfig(iterations=1, map_resolution=48))
+    assert len(seen) > 10 and set(seen) == {np.dtype(np.float32)}
 
 
 def _live_bundle(t, tex, mot):
@@ -384,13 +416,15 @@ def _random_student(t, tex, mot):
 
 def test_bake_student_graph_is_runtime_student(tiny_setup):
     # bake differentiates the runtime's own student: its deltas are
-    # student_deform's, bit for bit, cloth mask and embedding row included
+    # student_deform's, bit for bit, cloth mask and embedding included;
+    # a frame that carries its own z uses it, as the runtime does
     t, tex, mot, _ = tiny_setup
     bundle = _random_student(t, tex, mot)
     params = {"sb": _graph_net(bundle.body_mlp), "sc": _graph_net(bundle.cloth_mlp),
               "z_table": train.Tensor(bundle.z_table, requires_grad=True)}
     assert t.cloth_mask.any() and not t.cloth_mask.all()
-    for i, frame in enumerate(mot.frames):
+    own_z = dataclasses.replace(mot.frames[1], z=np.full(bundle.embed_dim, 0.7, np.float32))
+    for i, frame in [*enumerate(mot.frames), (1, own_z)]:
         graph = student_delta_graph(params, t, bundle, frame, i).data
         runtime = deform.student_deform(bundle, t, frame, frame_index=i)
         assert graph.dtype == runtime.dtype == np.float32
