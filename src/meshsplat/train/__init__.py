@@ -22,7 +22,6 @@ from .losses import (
     loss_normal,
     loss_semantic,
     mask_disagreement,
-    ssim,
 )
 from .ops import gaussian_semantic, semantic_label, splat_render
 from .optim import Adam
@@ -33,7 +32,7 @@ __all__ = [
     "Tensor", "concat", "constant", "Adam",
     "GradReport", "grad_check", "run_preflight", "preflight_ok", "SUITES",
     "loss_l1", "loss_dssim", "loss_normal", "loss_nonrigid", "loss_semantic",
-    "ssim", "gaussian_window", "l1_value", "mask_disagreement",
+    "gaussian_window", "l1_value", "mask_disagreement",
     "semantic_label", "gaussian_semantic", "splat_render",
     "LossWeights", "TrainConfig", "TrainingDiverged", "bake", "finetune",
     "evaluate_nonrigid",

@@ -1,11 +1,12 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 The engine supplies graph bookkeeping (topological order, gradient
-accumulation, broadcasting) and the generic array ops the losses are
-built from: arithmetic, indexing, sums, reshape and concatenation. The
-model's ops, whose forward is the runtime's own code (the student MLP,
-the binding, the splat), live in ``ops``. Every backward is written by
-hand and checked against finite differences. A graph runs in its input
+accumulation, broadcasting) and the few generic ops training's graphs
+build: addition, multiplication, basic indexing, a full sum, reshape and
+concatenation. The model's ops, whose forward is the runtime's own code
+(the student MLP, the binding, the splat), and the loss ops (absolute
+error, D-SSIM) live in ``ops``. Every backward is written by hand and
+checked against finite differences. A graph runs in its input
 arrays' dtype: a Python number takes the other operand's, and
 ``Tensor.backward`` casts each gradient to its tensor's. So training's
 graphs run in float32 end to end and the gradient checks' in float64.
@@ -81,12 +82,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return Sub.apply(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return Sub.apply(_wrap(other, self), self)
-
     def __mul__(self, other):
         return Mul.apply(self, _wrap(other, self))
 
@@ -95,17 +90,8 @@ class Tensor:
     def __getitem__(self, key):
         return GetItem.apply(self, key=key)
 
-    def sum(self, axis=None, keepdims=False):
-        return Sum.apply(self, axis=axis, keepdims=keepdims)
-
-    def mean(self):
-        return self.sum() * (1.0 / self.data.size)
-
-    def abs(self):
-        return Abs.apply(self)
-
-    def square(self):
-        return Mul.apply(self, self)
+    def sum(self):
+        return Sum.apply(self)
 
     def reshape(self, *shape):
         return Reshape.apply(self, shape=shape)
@@ -154,15 +140,6 @@ class Add(Function):
         return _unbroadcast(g, self.sa), _unbroadcast(g, self.sb)
 
 
-class Sub(Function):
-    def forward(self, a, b):
-        self.sa, self.sb = a.shape, b.shape
-        return a - b
-
-    def backward(self, g):
-        return _unbroadcast(g, self.sa), _unbroadcast(-g, self.sb)
-
-
 class Mul(Function):
     def forward(self, a, b):
         self.a, self.b = a, b
@@ -173,45 +150,26 @@ class Mul(Function):
 
 
 class GetItem(Function):
+    """Basic indexing (integers and slices), which selects each element
+    at most once."""
+
     def forward(self, a, key):
         self.shape = a.shape
         return a[key]
 
     def backward(self, g):
         out = np.zeros(self.shape, dtype=g.dtype)
-        key = self.kwargs["key"]
-        if isinstance(key, np.ndarray) and key.dtype != bool:
-            np.add.at(out, key, g)
-        else:
-            out[key] = g
+        out[self.kwargs["key"]] = g
         return (out,)
 
 
 class Sum(Function):
-    def forward(self, a, axis=None, keepdims=False):
-        self.shape = a.shape
-        return np.asarray(a.sum(axis=axis, keepdims=keepdims))
-
-    def backward(self, g):
-        axis = self.kwargs.get("axis")
-        keepdims = self.kwargs.get("keepdims", False)
-        if axis is None:
-            return (np.broadcast_to(g, self.shape).copy(),)
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(a % len(self.shape) for a in axes)
-            for a in sorted(axes):
-                g = np.expand_dims(g, a)
-        return (np.broadcast_to(g, self.shape).copy(),)
-
-
-class Abs(Function):
     def forward(self, a):
-        self.sign = np.sign(a)
-        return np.abs(a)
+        self.shape = a.shape
+        return np.asarray(a.sum())
 
     def backward(self, g):
-        return (g * self.sign,)
+        return (np.broadcast_to(g, self.shape).copy(),)
 
 
 class Reshape(Function):

@@ -1,6 +1,7 @@
 """Differentiable ops over the runtime's own forward code: the student
 MLP and its inputs, blend shapes, the binding, and the mesh-map and
-splat rasterizers; plus SSIM and semantic label construction.
+splat rasterizers; the loss ops, masked absolute error and D-SSIM; and
+semantic label construction.
 
 Each op's forward is the runtime's; its backward is written by hand.
 The MLP's backward chains the layers' linear maps and ReLU masks
@@ -82,14 +83,31 @@ def splat_render(
     )
 
 
-class SSIM(Function):
-    """Mean SSIM (Wang et al., IEEE TIP 2004) of ``x`` against the fixed
-    image ``y`` over Gaussian windows (``kernel`` along both axes,
-    zero-padded 'same'): S = A1 A2 / (B1 B2) per pixel, with
-    A1 = 2 mx my + c1, B1 = mx² + my² + c1, A2 = 2 sxy + c2 and
-    B2 = sx² + sy² + c2. The backward is closed-form through the blurred
-    moments mx = G*x, G*x² and G*xy. At x = y, A1 == B1 and A2 == B2 bit
-    for bit, so every term of the gradient is exactly 0."""
+class AbsErrorSum(Function):
+    """sum(|x - y| * mask) against the fixed array ``y`` (taken in ``x``'s
+    dtype); the optional boolean ``mask`` broadcasts against ``x``. The
+    backward is g * mask * sign(x - y)."""
+
+    def forward(self, x, y=None, mask=None):
+        diff = x - y.astype(x.dtype, copy=False)
+        self.sign, self.mask = np.sign(diff), mask
+        err = np.abs(diff)
+        return np.asarray((err if mask is None else err * mask).sum())
+
+    def backward(self, g):
+        grad = g * self.sign
+        return (grad if self.mask is None else grad * self.mask,)
+
+
+class DSSIM(Function):
+    """D-SSIM, (1 - mean S) / 2, of ``x`` against the fixed image ``y``:
+    S is SSIM (Wang et al., IEEE TIP 2004) over Gaussian windows
+    (``kernel`` along both axes, zero-padded 'same'),
+    S = A1 A2 / (B1 B2) per pixel, with A1 = 2 mx my + c1,
+    B1 = mx² + my² + c1, A2 = 2 sxy + c2 and B2 = sx² + sy² + c2. The
+    backward is closed-form through the blurred moments mx = G*x, G*x²
+    and G*xy. At x = y, A1 == B1 and A2 == B2 bit for bit, so every term
+    of the gradient is exactly 0."""
 
     def forward(self, x, y=None, kernel=None, c1=None, c2=None):
         self.x = x
@@ -102,7 +120,7 @@ class SSIM(Function):
         self.a2 = sig_xy * 2.0 + c2
         self.b2 = sig_x + sig_y + c2
         self.s = self.a1 * self.a2 / (self.b1 * self.b2)
-        return np.asarray(self.s.sum() * (1.0 / self.s.size))
+        return np.asarray((1.0 - self.s.sum() * (1.0 / self.s.size)) * 0.5)
 
     def _blur(self, img):
         kernel = self.kwargs["kernel"]
@@ -113,7 +131,7 @@ class SSIM(Function):
         s, mu_x, mu_y, a2, b2 = self.s, self.mu_x, self.mu_y, self.a2, self.b2
         d_mu = s * 2.0 * ((mu_y / self.a1 - mu_x / self.b1) + (mu_x / b2 - mu_y / a2))
         dx = self._blur(d_mu) + (self.kwargs["y"] * self._blur(s / a2) - self.x * self._blur(s / b2)) * 2.0
-        return (dx * (g * (1.0 / s.size)),)
+        return (dx * (g * -0.5 * (1.0 / s.size)),)
 
 
 class MLP(Function):

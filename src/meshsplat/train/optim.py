@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..assets import ValidationError
 from .engine import Tensor
 
 DEFAULT_LRS = {
@@ -31,6 +32,9 @@ class Adam:
     def __init__(self, groups: dict[str, list[Tensor]], lrs: dict[str, float] | None = None,
                  weight_decay: dict[str, float] | None = None):
         self.groups = groups
+        unknown = sorted(set(lrs or {}) - set(groups) - set(DEFAULT_LRS))
+        if unknown:
+            raise ValidationError(f"learning rate given for unknown parameter groups {', '.join(unknown)}")
         # Python floats: under NumPy 2 promotion a NumPy float64 scalar
         # would turn float32 parameters into float64
         self.lrs = {k: float(v) for k, v in {**DEFAULT_LRS, **(lrs or {})}.items()}

@@ -1,14 +1,16 @@
 """Pre-training gradient validation.
 
-Every trainable path is finite-difference checked on small fixtures
-before training is allowed: the runtime's MLP as training
-differentiates it (``ops.mlp``) as a linear layer, a deep net and a
-mapping net, blend shapes, D-SSIM, the non-rigid map loss, the splat
-backward (color / opacity / 2D mean), the projection Jacobian,
-training's differentiable splat end to end (``ops.splat_render``), the
-runtime's binding (``ops.bind``), and bake's student field with its
-embedding row and cloth mask (``bake.student_delta_graph``). Smooth
-paths must agree to 1e-3 relative, the splat paths to 1e-2.
+Every op a bake or finetune step builds is finite-difference checked on
+small fixtures, through the code training runs, before training is
+allowed: the runtime's MLP as training differentiates it (``ops.mlp``)
+as a linear layer and a deep net under L1, finetune's blend coefficients
+(``bake.blend_coeffs_graph``), blend shapes under L1, D-SSIM, the
+non-rigid map loss, the splat backward (color / opacity / 2D mean), the
+projection Jacobian, training's differentiable splat end to end
+(``ops.splat_render``), the runtime's binding (``ops.bind``), and bake's
+student field with its embedding row and cloth mask
+(``bake.student_delta_graph``). Smooth paths must agree to 1e-3
+relative, the splat paths to 1e-2.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from dataclasses import replace
 import numpy as np
 
 from .. import assets, deform
-from ..assets import Camera, look_at, perspective_camera
+from ..assets import Camera, FrameInput, look_at, perspective_camera
 from ..gstexture import init_texture
 from ..skinning import pose_skeleton, vertex_transforms
 from ..splat import backproject_mean_grads, composite, composite_backward, meshraster, project_gaussians
 from . import losses, ops
-from .bake import student_delta_graph
+from .bake import blend_coeffs_graph, student_delta_graph
 from .engine import Tensor
 from .gradcheck import GradReport, grad_check
 
@@ -53,28 +55,67 @@ def _mlp_params(rng, dims, w_scale=0.5, b_scale=0.1) -> list[np.ndarray]:
 
 
 def _check_mlp(seed, dims, rows, loss, tol, **scales) -> GradReport:
-    """``ops.mlp`` over random inputs, with ``loss`` of its residual."""
+    """``ops.mlp`` over random inputs, with ``loss(output, gt)``."""
     rng = np.random.default_rng(seed)
     params = _mlp_params(rng, dims, **scales)
     x = rng.normal(size=(rows, dims[0]))
     gt = rng.normal(size=(rows, dims[-1]))
 
     def build(ts):
-        return loss(ops.mlp(list(zip(ts[0::2], ts[1::2])), Tensor(x)) - Tensor(gt))
+        return loss(ops.mlp(list(zip(ts[0::2], ts[1::2])), Tensor(x)), gt)
 
     return grad_check(engine_fn(build), params, tol, seed=seed)
 
 
+def _check_clear_of_kinks(name, build, params, net_inputs, seed) -> GradReport:
+    """``grad_check`` of ``build``, failing if any evaluation flips a ReLU
+    of the MLPs that ``net_inputs(arrays)`` pairs with their inputs: then
+    a kink lies within FD reach of the point checked."""
+
+    def signs(arrays):
+        return np.concatenate([a.ravel() > 0 for net, x in net_inputs(arrays)
+                               for a in deform.mlp_activations(net, x)[:-1]])
+
+    base, flips = signs(params), []
+
+    def guarded(ts):
+        flips.append(np.count_nonzero(signs([t.data for t in ts]) != base))
+        return build(ts)
+
+    report = grad_check(engine_fn(guarded), params, TOL_SMOOTH, seed=seed)
+    if any(flips):
+        raise ValueError(f"preflight '{name}': a ReLU kink lies within FD reach of its fixture")
+    return report
+
+
 def check_linear(seed: int = 0) -> GradReport:
-    return _check_mlp(seed, [5, 4], 7, lambda r: r.square().sum(), TOL_LINEAR, w_scale=1.0, b_scale=1.0)
+    return _check_mlp(seed, [5, 4], 7, lambda out, gt: (out * Tensor(gt)).sum(), TOL_LINEAR,
+                      w_scale=1.0, b_scale=1.0)
 
 
 def check_mlp(seed: int = 1) -> GradReport:
-    return _check_mlp(seed, [12, 16, 16, 16, 16, 3], 9, lambda r: r.abs().mean(), TOL_SMOOTH)
+    return _check_mlp(seed, [12, 16, 16, 16, 16, 3], 9, losses.loss_l1, TOL_SMOOTH)
 
 
 def check_mapping_net(seed: int = 2) -> GradReport:
-    return _check_mlp(seed, [10, 24, 8], 4, lambda r: r.square().sum(), TOL_SMOOTH)
+    """Finetune's blend coefficients (``bake.blend_coeffs_graph``) in
+    float64: the head and body mapping nets over a frame's expression
+    and pose, concatenated head first and flattened. With 8 hidden units
+    no ReLU kink lies within FD reach of the point checked."""
+    rng = np.random.default_rng(seed)
+    frame = FrameInput(theta=rng.normal(size=6), epsilon=rng.normal(size=4), root=np.eye(4))
+    params = [*_mlp_params(rng, [4, 8, 3]), *_mlp_params(rng, [6, 8, 5])]
+    g_out = rng.normal(size=8)
+
+    def nets(arrays):  # the head and body layers of [*head, *body]
+        return [list(zip(arrays[i:i + 4:2], arrays[i + 1:i + 4:2])) for i in (0, 4)]
+
+    def build(ts):
+        maph, mapb = nets(ts)
+        return (blend_coeffs_graph({"maph": maph, "mapb": mapb}, frame) * Tensor(g_out)).sum()
+
+    inputs = (frame.epsilon[None], frame.theta[None])
+    return _check_clear_of_kinks("mapping_net", build, params, lambda arrays: zip(nets(arrays), inputs), seed)
 
 
 def check_blend_shapes(seed: int = 3) -> GradReport:
@@ -87,7 +128,7 @@ def check_blend_shapes(seed: int = 3) -> GradReport:
     gt = rng.normal(size=(G, 3))
 
     def build(ts):
-        return (ops.blend_shapes(ts[0], ts[1]) - Tensor(gt)).abs().mean()
+        return losses.loss_l1(ops.blend_shapes(ts[0], ts[1]), gt)
 
     return grad_check(engine_fn(build), [shapes, coeffs], TOL_SMOOTH, seed=seed)
 
@@ -248,22 +289,16 @@ def check_student(seed: int = 11) -> GradReport:
     def nets(arrays):  # the body and cloth layers of [z_table, *body, *cloth]
         return [list(zip(arrays[i:i + 6:2], arrays[i + 1:i + 6:2])) for i in (1, 7)]
 
-    def signs(arrays):
+    def net_inputs(arrays):
         x = deform.student_inputs(bundle, template, frame, arrays[0][1])
-        return np.concatenate([a.ravel() > 0 for net in nets(arrays) for a in deform.mlp_activations(net, x)[:-1]])
-
-    base, flips = signs(params), []
+        return [(net, x) for net in nets(arrays)]
 
     def build(ts):
-        flips.append(np.count_nonzero(signs([t.data for t in ts]) != base))
         sb, sc = nets(ts)
         return (student_delta_graph({"z_table": ts[0], "sb": sb, "sc": sc}, template, bundle, frame, 1)
                 * Tensor(g_out)).sum()
 
-    report = grad_check(engine_fn(build), params, TOL_SMOOTH, seed=seed)
-    if any(flips):
-        raise ValueError("preflight 'student': a ReLU kink lies within FD reach of its fixture")
-    return report
+    return _check_clear_of_kinks("student", build, params, net_inputs, seed)
 
 
 SUITES = {

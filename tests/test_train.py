@@ -31,7 +31,6 @@ def test_losses_zero_on_identical_inputs():
         d.backward()
         assert pred.grad.dtype == dtype
         assert np.all(pred.grad == 0)
-    assert abs(float(losses.ssim(engine.constant(img), img).data) - 1.0) < 1e-12
 
 
 def test_l1_constant_offset_closed_form():
@@ -229,6 +228,19 @@ def test_adam_keeps_float32_with_numpy_scalar_lr():
     opt.step()
     assert p.data.dtype == np.float32
     assert np.all(p.data < 1.0)
+
+
+def test_adam_rejects_lr_of_unknown_group(tiny_setup):
+    # a misspelt group name would leave that group at its default lr
+    t, tex, mot, src = tiny_setup
+    p = train.Tensor(np.ones(3, np.float32), requires_grad=True)
+    with pytest.raises(assets.ValidationError, match="mpl"):
+        train.Adam({"mlp": [p]}, lrs={"mpl": 0.0})
+    cfg = train.TrainConfig(iterations=1, map_resolution=48, lrs={"mpl": 0.0})
+    with pytest.raises(assets.ValidationError, match="mpl"):
+        train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
+    # a default group's name is accepted whether or not the stage has it
+    train.Adam({"mlp": [p]}, lrs={"mlp": 0.0, "blend": 0.0, "attributes": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +550,28 @@ def test_finetune_rejects_bake_only_settings(tiny_setup, setting, name):
     cfg = train.TrainConfig(iterations=1, **setting)
     with pytest.raises(assets.ValidationError, match=name):
         train.finetune(t, tex, _bundle_for(t, tex, mot), src.frames, mot, cfg)
+
+
+def test_every_training_op_is_preflight_checked(tiny_setup, monkeypatch):
+    # every op class a bake and a finetune step build is reached by some
+    # preflight suite's finite-difference check
+    t, tex, mot, src = tiny_setup
+    built = set()
+    apply = engine.Function.apply.__func__
+
+    def recording(cls, *args, **kwargs):
+        built.add(cls)
+        return apply(cls, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Function, "apply", classmethod(recording))
+    bundle, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot,
+                              train.TrainConfig(iterations=2, map_resolution=48))
+    train.finetune(t, tex, bundle, src.frames, mot, train.TrainConfig(iterations=2))
+    trained = set(built)
+    built.clear()
+    for check in train.SUITES.values():
+        check()
+    assert sorted(c.__name__ for c in trained - built) == []
 
 
 def test_train_config_has_no_inert_fields():
