@@ -212,6 +212,8 @@ class GaussianTexture:
         return self.face_idx.shape[0]
 
     def validate(self) -> None:
+        if not 0 <= self.sh_degree <= 3:
+            raise ValidationError(f"sh degree must be in [0,3], got {self.sh_degree}")
         G = self.face_idx.shape[0]
         for name, arr, shape in (
             ("uv", self.uv, (G, 2)),

@@ -60,8 +60,6 @@ def _parse_res(text: str) -> tuple[int, int]:
 def _train_config(args, weights, **bake_only) -> "train_mod.TrainConfig":
     from . import train as train_mod
 
-    if args.lambda_lpips != 0.0:
-        print("note: the perceptual term has no backing network; lambda-lpips is forced to 0", file=sys.stderr)
     return train_mod.TrainConfig(
         iterations=args.iterations,
         batch_size=args.batch_size,
@@ -77,7 +75,6 @@ def _add_train_flags(p):
     p.add_argument("--batch-size", type=int, default=1, help="frames per step")
     p.add_argument("--map-res", type=int, default=128, help="deformation map resolution (px)")
     p.add_argument("--lambda-ssim", type=float, default=0.2, help="D-SSIM weight")
-    p.add_argument("--lambda-lpips", type=float, default=0.0, help="kept for config fidelity; forced 0")
     p.add_argument("--log", help="write per-iteration loss records to this file")
     p.add_argument("--skip-preflight", action="store_true",
                    help="skip the fast gradient checks that gate training")
@@ -164,6 +161,8 @@ def cmd_build_template(args) -> int:
         components.append((sv, sf, assets.CLOTH))
     if args.ref_motion:
         motion = assets.load_motion(args.ref_motion)
+        if not 0 <= args.ref_frame < len(motion):
+            raise ValidationError(f"--ref-frame {args.ref_frame} outside motion of length {len(motion)}")
         ref = motion.frames[args.ref_frame]
     else:
         ref = assets.FrameInput(
@@ -217,8 +216,8 @@ def cmd_bake(args) -> int:
     src = _teacher_for(args, t, tex, motion)
     bundle = deform.init_bundle(t, tex, n_frames=len(motion), seed=args.seed)
     _run_preflight_gate(args)
-    weights = train_mod.LossWeights(ssim=args.lambda_ssim, lpips=args.lambda_lpips, nor=args.lambda_nor,
-                                    non=args.lambda_non, sem=args.lambda_sem)
+    weights = train_mod.LossWeights(ssim=args.lambda_ssim, nor=args.lambda_nor, non=args.lambda_non,
+                                    sem=args.lambda_sem)
     cfg = _train_config(args, weights, tau=args.tau, freeze_embeddings=args.freeze_embeddings,
                         map_resolution=args.map_res)
     try:

@@ -41,12 +41,24 @@ class ContainerError(ValueError):
         super().__init__(" ".join(parts))
 
 
-def write_sections(path, magic: bytes, sections: dict[str, np.ndarray]) -> None:
-    """Serialize named arrays under the given 8-byte magic.
+def atomic_write(path, payload: bytes) -> None:
+    """Write ``payload`` to a temp file in the same directory and rename
+    it over ``path``, so readers never observe a partial file."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
-    Writes to a temp file in the same directory and renames, so readers
-    never observe a partial file.
-    """
+
+def write_sections(path, magic: bytes, sections: dict[str, np.ndarray]) -> None:
+    """Serialize named arrays under the given 8-byte magic, atomically
+    (``atomic_write``)."""
     if len(magic) != 8:
         raise ValueError(f"magic must be 8 bytes, got {len(magic)}")
     blob = bytearray()
@@ -63,16 +75,7 @@ def write_sections(path, magic: bytes, sections: dict[str, np.ndarray]) -> None:
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.tobytes()
 
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, blob)
 
 
 def read_sections(path, magic: bytes) -> dict[str, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assets import GaussianTexture, RiggedTemplate, ValidationError, sh_terms
-from .rotations import matrix_to_quat, quat_multiply, quat_to_matrix
+from .rotations import quat_to_matrix
 
 DEGENERATE_AREA = 1e-12  # m^2
 LOCAL_NORMAL = np.array([1.0, 0.0, 0.0])
@@ -146,10 +146,11 @@ def local_to_world(
 ) -> WorldGaussians:
     """Carry local Gaussian attributes to world space via the posed mesh.
 
-    Positions: p + R (gamma * [1,0,0] + delta_u). Rotation composes the
-    triangle frame with the local quaternion, scale multiplies by the
-    mean edge length, and color is SH evaluated along the local-frame
-    view direction plus the optional color residual, clamped to [0,1].
+    Positions: p + R (gamma * [1,0,0] + delta_u). The world rotation is
+    the triangle frame times the local rotation's matrix,
+    R @ quat_to_matrix(rotation); scale multiplies by the mean edge
+    length, and color is SH evaluated along the local-frame view
+    direction plus the optional color residual, clamped to [0,1].
     Exactly one of ``view_origin`` (a world point) or ``view_dir`` (a
     fixed world direction, e.g. for orthographic views) must be given.
     The arrays come out in the precision of ``verts``.
@@ -166,10 +167,7 @@ def local_to_world(
         offset = offset + delta_u
     means = p + np.einsum("gab,gb->ga", R, offset)
 
-    tri_quat = matrix_to_quat(R)
-    quats = quat_multiply(tri_quat, texture.rotation.astype(np.float64))
-    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    rot_mats = quat_to_matrix(quats)
+    rot_mats = R @ quat_to_matrix(texture.rotation)
 
     scales = e[:, None] * np.exp(texture.log_scale.astype(np.float64))
     opacity = 1.0 / (1.0 + np.exp(-texture.opacity_logit.astype(np.float64)))

@@ -30,66 +30,6 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     return m.reshape(q.shape[:-1] + (3, 3))
 
 
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, batched with broadcasting."""
-    aw, ax, ay, az = (a[..., i] for i in range(4))
-    bw, bx, by, bz = (b[..., i] for i in range(4))
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
-
-
-def matrix_to_quat(m: np.ndarray) -> np.ndarray:
-    """Batched rotation matrix [..,3,3] to unit quaternion, w >= 0.
-
-    Shepperd's method: pick the largest diagonal combination per element
-    for numerical stability.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    batch = m.shape[:-2]
-    m = m.reshape(-1, 3, 3)
-    t = np.stack([
-        1.0 + m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2],
-        1.0 + m[:, 0, 0] - m[:, 1, 1] - m[:, 2, 2],
-        1.0 - m[:, 0, 0] + m[:, 1, 1] - m[:, 2, 2],
-        1.0 - m[:, 0, 0] - m[:, 1, 1] + m[:, 2, 2],
-    ], axis=1)
-    best = np.argmax(t, axis=1)
-    q = np.empty((m.shape[0], 4))
-    for case in range(4):
-        sel = best == case
-        if not sel.any():
-            continue
-        ms = m[sel]
-        s = 2.0 * np.sqrt(np.maximum(t[sel, case], 1e-12))
-        if case == 0:
-            q[sel, 0] = 0.25 * s
-            q[sel, 1] = (ms[:, 2, 1] - ms[:, 1, 2]) / s
-            q[sel, 2] = (ms[:, 0, 2] - ms[:, 2, 0]) / s
-            q[sel, 3] = (ms[:, 1, 0] - ms[:, 0, 1]) / s
-        elif case == 1:
-            q[sel, 0] = (ms[:, 2, 1] - ms[:, 1, 2]) / s
-            q[sel, 1] = 0.25 * s
-            q[sel, 2] = (ms[:, 0, 1] + ms[:, 1, 0]) / s
-            q[sel, 3] = (ms[:, 0, 2] + ms[:, 2, 0]) / s
-        elif case == 2:
-            q[sel, 0] = (ms[:, 0, 2] - ms[:, 2, 0]) / s
-            q[sel, 1] = (ms[:, 0, 1] + ms[:, 1, 0]) / s
-            q[sel, 2] = 0.25 * s
-            q[sel, 3] = (ms[:, 1, 2] + ms[:, 2, 1]) / s
-        else:
-            q[sel, 0] = (ms[:, 1, 0] - ms[:, 0, 1]) / s
-            q[sel, 1] = (ms[:, 0, 2] + ms[:, 2, 0]) / s
-            q[sel, 2] = (ms[:, 1, 2] + ms[:, 2, 1]) / s
-            q[sel, 3] = 0.25 * s
-    q *= np.where(q[:, :1] < 0, -1.0, 1.0)
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q.reshape(batch + (4,))
-
-
 def random_rigid(rng: np.random.Generator, translation_scale: float = 1.0) -> np.ndarray:
     """Uniform-ish random rigid 4x4 transform for property tests."""
     aa = rng.normal(size=3)

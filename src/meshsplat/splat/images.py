@@ -6,29 +6,16 @@ row-major, values quantized as round(clip(v, 0, 1) * 255).
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 import zlib
 
 import numpy as np
 
+from ..container import atomic_write
+
 
 def quantize_u8(img: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.clip(img, 0.0, 1.0) * 255.0), 0, 255).astype(np.uint8)
-
-
-def _atomic_write(path, payload: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_ppm(img: np.ndarray, path) -> None:
@@ -36,7 +23,7 @@ def write_ppm(img: np.ndarray, path) -> None:
         raise ValueError(f"PPM needs a non-empty [H,W,3] image, got {img.shape}")
     h, w = img.shape[:2]
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(path, header + quantize_u8(img).tobytes())
+    atomic_write(path, header + quantize_u8(img).tobytes())
 
 
 def read_ppm(path) -> np.ndarray:
@@ -56,7 +43,7 @@ def write_pgm(img: np.ndarray, path) -> None:
         raise ValueError(f"PGM needs a non-empty [H,W] image, got {img.shape}")
     h, w = img.shape
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write(path, header + quantize_u8(img).tobytes())
+    atomic_write(path, header + quantize_u8(img).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
@@ -116,4 +103,4 @@ def write_png(img: np.ndarray, path) -> None:
         + chunk(b"IDAT", zlib.compress(scanlines, 6))
         + chunk(b"IEND", b"")
     )
-    _atomic_write(path, payload)
+    atomic_write(path, payload)

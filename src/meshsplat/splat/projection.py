@@ -7,8 +7,10 @@ projects vertices through it, so a mesh render and a splat render of
 the same surface land on the same pixels.
 
 Covariance: sigma_world = R S^2 R^T is pushed through the camera rotation
-and the projection Jacobian; projected covariance eigenvalues are
-clamped to a low-pass floor so the thin axis never aliases below a pixel.
+and the projection Jacobian. A projected covariance eigenvalue below the
+low-pass floor is raised to it, with the eigenvectors kept, so the thin
+axis never aliases below a pixel; a covariance whose eigenvalues are
+both at or above the floor passes through unchanged.
 """
 
 from __future__ import annotations
@@ -46,20 +48,25 @@ def camera_view(camera: Camera) -> dict:
 
 
 def _eig_clamp(cov: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clamp eigenvalues of symmetric 2x2 (a,b,c) rows; returns (cov', lam_max)."""
+    """Raise the eigenvalues of symmetric 2x2 (a,b,c) rows to at least
+    ``floor``, keeping the eigenvectors; returns (cov', lam_max).
+
+    With eigenvalues lam1 >= lam2, cov + s (lam1 I - cov) moves lam2 to
+    lam2 + s (lam1 - lam2) and keeps lam1. s = clip((floor - lam2) /
+    (lam1 - lam2), 0, 1) takes lam2 to the floor, or to lam1 when both
+    are below it, and max(floor - lam1, 0) I then lifts both to the
+    floor. A row with lam2 >= floor has s = 0 and comes back bit for bit.
+    """
     a, b, c = cov[:, 0], cov[:, 1], cov[:, 2]
     mid = 0.5 * (a + c)
     half = np.sqrt(np.maximum(0.25 * (a - c) ** 2 + b * b, 0.0))
     lam1 = mid + half
     lam2 = mid - half
-    l1 = np.maximum(lam1, floor)
-    l2 = np.maximum(lam2, floor)
-    t = 0.5 * np.arctan2(2.0 * b, a - c)
-    ct, st = np.cos(t), np.sin(t)
-    a2 = ct * ct * l1 + st * st * l2
-    c2 = st * st * l1 + ct * ct * l2
-    b2 = ct * st * (l1 - l2)
-    return np.stack([a2, b2, c2], axis=1), l1
+    gap = lam1 - lam2
+    s = np.clip((floor - lam2) / np.where(gap > 0.0, gap, 1.0), 0.0, 1.0)
+    lift = np.maximum(floor - lam1, 0.0)
+    clamped = np.stack([a + s * (lam1 - a) + lift, b - s * b, c + s * (lam1 - c) + lift], axis=1)
+    return clamped, np.maximum(lam1, floor)
 
 
 def camera_project(points: np.ndarray, camera: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

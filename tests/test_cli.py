@@ -46,6 +46,40 @@ def test_validation_failure_exit_code(tmp_path):
                 "--out", str(tmp_path / "x.gtx")]) in (3, 4)
 
 
+@pytest.mark.parametrize("degree", ["4", "5", "-1"])
+def test_bind_rejects_sh_degree_outside_0_to_3(workdir, tmp_path, degree, capsys):
+    out = tmp_path / "x.gtx"
+    assert run(["bind", "--template", str(workdir / "rig.tpl"), "--sh-degree", degree,
+                "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "sh degree must be in [0,3]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref_frame", ["3", "7", "-1"])
+def test_build_template_rejects_ref_frame_outside_motion(workdir, tmp_path, ref_frame, capsys):
+    from meshsplat import assets
+
+    rig = assets.load_template(workdir / "rig.tpl")
+    assets.save_motion(assets.make_swing_motion(rig, 3, seed=1), tmp_path / "m.mot")
+    out = tmp_path / "merged.tpl"
+    assert run(["build-template", "--body", str(workdir / "rig.tpl"), "--ref-motion",
+                str(tmp_path / "m.mot"), "--ref-frame", ref_frame, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "outside motion of length 3" in capsys.readouterr().err
+
+
+def test_lambda_lpips_is_not_a_setting(workdir, tmp_path):
+    # no feature network backs a perceptual term, so no flag or config key sets its weight
+    argv = ["bake", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
+            "--frames", "2", "--res", "32x32", "--map-res", "32", "--iterations", "1",
+            "--skip-preflight", "--out", str(tmp_path / "b.stu")]
+    assert run(argv + ["--lambda-lpips", "0"]) == 2
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("lambda_lpips=0\n")
+    assert run(["--config", str(cfg)] + argv) == 3
+    assert not (tmp_path / "b.stu").exists()
+
+
 def test_render_without_bundle(workdir, capsys):
     out = workdir / "frame.ppm"
     assert run(["render", "--template", str(workdir / "rig.tpl"),

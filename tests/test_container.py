@@ -64,6 +64,17 @@ def test_loader_rejects_bad_weight_row(tmp_path, rig):
         assets.load_template(path)
 
 
+def test_texture_loader_rejects_sh_degree_above_3(tmp_path, clothed_texture):
+    path = tmp_path / "deg5.gtx"
+    assets.save_texture(clothed_texture, path)
+    sections = container.read_sections(path, assets.MAGIC_TEXTURE)
+    sections["sh"] = np.zeros((clothed_texture.num_gaussians, 3, assets.sh_terms(5)), np.float32)
+    sections["meta"] = np.array([clothed_texture.num_faces, 5], dtype=np.uint32)
+    container.write_sections(path, assets.MAGIC_TEXTURE, sections)
+    with pytest.raises(assets.ValidationError, match=r"sh degree must be in \[0,3\], got 5"):
+        assets.load_texture(path)
+
+
 def test_saver_refuses_invalid_values(tmp_path, rig):
     import dataclasses
 

@@ -101,11 +101,16 @@ def test_local_to_world_rigid_equivariance():
     for _ in range(100):
         v = rng.normal(size=(3, 3)).astype(np.float32)
         uv = rng.random(2) * 0.5
-        tex = _single_gaussian_texture(gamma=rng.normal() * 0.1, uv=tuple(uv))
+        rot = rng.normal(size=4)
+        rot = tuple(rot / np.linalg.norm(rot))
+        tex = _single_gaussian_texture(gamma=rng.normal() * 0.1, uv=tuple(uv), rot=rot)
         try:
             base = local_to_world(tex, v, TRI_FACES, view_dir=(0.0, 0.0, 1.0))
         except DegenerateTriangleError:
             continue
+        # the world rotation is the parent frame times the local rotation
+        expect_rot = base.tri_rot[0] @ quat_to_matrix(tex.rotation[0])
+        assert np.abs(base.rot_mats[0] - expect_rot).max() < 1e-6
         g = random_rigid(rng)
         v2 = (v @ g[:3, :3].T + g[:3, 3]).astype(np.float32)
         moved = local_to_world(tex, v2, TRI_FACES, view_dir=(0.0, 0.0, 1.0))

@@ -8,7 +8,7 @@ from meshsplat import assets, skinning, splat
 from meshsplat.gstexture import WorldGaussians, local_to_world
 from meshsplat.rotations import axis_angle_to_quat, quat_to_matrix
 from meshsplat.splat import meshraster, tiles
-from meshsplat.splat.projection import EIG_FLOOR
+from meshsplat.splat.projection import EIG_FLOOR, _eig_clamp
 
 from oracles import (
     brute_force_composite,
@@ -504,6 +504,36 @@ def test_render_quant_u16_follows_sort_keys_order():
     assert np.array_equal(t.color, ref[..., :3])
     assert np.array_equal(t.alpha, ref[..., 3])
     assert not np.array_equal(t.color, splat.render(wg, cam).color)
+
+
+def test_eig_clamp_lifts_only_eigenvalues_below_the_floor():
+    f = EIG_FLOOR
+    rng = np.random.default_rng(5)
+    n = 300
+    hi = lambda size: rng.uniform(1.01 * f, 20.0, size)
+    lo = lambda size: rng.uniform(0.0, 0.99 * f, size)
+    # none, one and both eigenvalues below the floor, in random directions
+    lam = np.concatenate([np.stack([hi(n), hi(n)], 1), np.stack([hi(n), lo(n)], 1),
+                          np.stack([lo(n), lo(n)], 1)])
+    t = rng.uniform(0.0, np.pi, len(lam))
+    V = np.stack([np.stack([np.cos(t), -np.sin(t)], 1), np.stack([np.sin(t), np.cos(t)], 1)], 1)
+    full = V @ (lam[:, :, None] * np.swapaxes(V, 1, 2))
+    cov = np.stack([full[:, 0, 0], full[:, 0, 1], full[:, 1, 1]], 1)
+    # isotropic rows above, at and below the floor, and axis-aligned rows at it
+    cov = np.concatenate([cov, [[2.0, 0.0, 2.0], [f, 0.0, f], [0.1, 0.0, 0.1], [0.0, 0.0, 0.0],
+                                [f, 0.0, 5.0], [5.0, 0.0, f], [0.1, 0.0, f]]])
+
+    out, lam_max = _eig_clamp(cov, f)
+
+    w, vecs = np.linalg.eigh(np.stack([cov[:, [0, 1]], cov[:, [1, 2]]], 1))
+    lifted = vecs @ (np.maximum(w, f)[:, :, None] * np.swapaxes(vecs, 1, 2))
+    expect = np.stack([lifted[:, 0, 0], lifted[:, 0, 1], lifted[:, 1, 1]], 1)
+    assert np.abs(out - expect).max() < 1e-12
+    assert np.abs(lam_max - np.maximum(w[:, 1], f)).max() < 1e-12
+    unclamped = w[:, 0] >= f + 1e-9
+    unclamped[n * 3 + 1] = True  # exactly at the floor in both eigenvalues
+    assert unclamped[:n].all() and not unclamped[n:3 * n].any()
+    assert out[unclamped].tobytes() == cov[unclamped].tobytes()
 
 
 # ---------------------------------------------------------------------------
