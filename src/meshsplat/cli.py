@@ -338,9 +338,9 @@ def cmd_bench(args) -> int:
 
     # A frame is what ``render`` runs: project, cull, order by the sort
     # key and composite, which builds its tile pair lists internally.
-    # ``bin_ms`` times those lists (``tile_pairs``: bin, then cull to the
-    # 3-sigma ellipse) once more on their own, outside ``fps`` and
-    # ``total_ms``.
+    # ``bin_ms`` times those lists (``tile_pairs``) once more on their
+    # own, outside ``fps`` and ``total_ms``; ``pairs`` is their length,
+    # the tile-Gaussian pairs a frame composites.
     stage = {"project": 0.0, "bin": 0.0, "composite": 0.0}
     for _ in range(args.frames):
         t0 = time.perf_counter()
@@ -352,7 +352,7 @@ def cmd_bench(args) -> int:
                              np.ascontiguousarray(wg.color[idx]), key, proj.radius[idx],
                              w, h, threads=args.threads)
         t2 = time.perf_counter()
-        tile_pairs(proj.means2d[idx], proj.conic[idx], proj.radius[idx], key, w, h)
+        pairs = tile_pairs(proj.means2d[idx], proj.conic[idx], proj.radius[idx], key, w, h)[0].size
         stage["project"] += t1 - t0
         stage["composite"] += t2 - t1
         stage["bin"] += time.perf_counter() - t2
@@ -368,7 +368,7 @@ def cmd_bench(args) -> int:
         fps=fps, total_ms=total / args.frames * 1000.0,
         project_ms=stage["project"] / args.frames * 1000.0,
         bin_ms=stage["bin"] / args.frames * 1000.0,
-        composite_ms=stage["composite"] / args.frames * 1000.0,
+        composite_ms=stage["composite"] / args.frames * 1000.0, pairs=pairs,
         saturated_px_frac=saturated / covered if covered else 0.0,
         threads=args.threads, seed=args.seed,
     ))

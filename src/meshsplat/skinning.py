@@ -251,6 +251,8 @@ def transfer_skin_weights(
     garment is given in a posed reference frame. Vertices farther than
     ``band`` from the body surface are an error, not a guess.
     """
+    if not 0 < band < np.inf:
+        raise ValidationError(f"weight-transfer band must be finite and > 0, got {band}")
     surf = body.vertices if body_verts is None else body_verts
     dist, face, bary = closest_surface_points(garment_verts, surf, body.faces)
     far = dist > band

@@ -164,8 +164,12 @@ def relight(
     if not 0 < norm < np.inf:
         raise ValidationError(f"light direction must be finite and nonzero, got {l.tolist()}")
     l = l / norm
+    rgb = np.asarray(light_rgb, dtype=np.float64)
+    if not (np.isfinite(rgb).all() and 0 <= ambient < np.inf):
+        raise ValidationError("light color must be finite and ambient term finite and >= 0, "
+                              f"got {rgb.tolist()} and {ambient}")
     ndotl = np.maximum(normal.astype(np.float64) @ l, 0.0)
-    shade = ambient + np.asarray(light_rgb, dtype=np.float64) * ndotl[..., None]
+    shade = ambient + rgb * ndotl[..., None]
     return np.clip(color.astype(np.float64) * shade, 0.0, 1.0).astype(np.float32)
 
 

@@ -1,11 +1,12 @@
 """Tile-based front-to-back alpha compositing of projected Gaussians.
 
-The screen is cut into 16x16 tiles. ``bin_gaussians`` puts each Gaussian
-into every tile of the square of half-width ``radius`` (3 sqrt(lambda_max))
-around its mean, sorted per tile by (depth, index); ``tile_pairs`` then
-culls those pairs to the ones whose 3-sigma ellipse reaches the box of
-their tile's pixel centres (about 30% of the square's pairs do not, and
-would add only exact zeros). Each tile's list is composited per pixel:
+The screen is cut into 16x16 tiles. ``tile_pairs`` takes the Gaussians in
+(depth, index) order, pairs each with the tiles of the square of
+half-width ``radius`` (3 sqrt(lambda_max)) around its mean, keeps the
+pairs whose 3-sigma ellipse reaches the box of their tile's pixel
+centres (about 30% do not, and would add only exact zeros), and groups
+the survivors by tile with one stable sort, so each tile's list runs
+front to back. Each tile's list is composited per pixel:
 C = sum_i v_i w_i T_i with T_i = prod_{j<i} (1 - w_j) and
 w_i = opacity_i * exp(-0.5 * mahalanobis^2), truncated at 3 sigma and
 clamped to 0.999.
@@ -27,8 +28,10 @@ centre and (du, dv) a Gaussian's mean, both relative to the tile centre,
 the exponent -0.5 * mahalanobis^2 is a quadratic in (u, v): a row of six
 per-Gaussian coefficients (``_exponent_coefs``) times the pixel's
 monomials [1, u, v, u^2, v^2, uv] (``FEATURES``, one constant for every
-full tile). A chunk's exponents are one [n, 6] @ [6, m] BLAS product, and
-the cutoff, exp, opacity and clamp run in place on that buffer. The
+full tile), built with each pair's opacity for all pairs before the tile
+loop. A chunk's exponents are one [n, 6] @ [6, m] BLAS product of a slice
+of those rows, and the cutoff, exp, opacity and clamp run in place on
+that buffer. The
 expansion rounds differently from the direct form by a few ulps of its
 constant term, which is at most 0.5 * (3 + 8 * sqrt(2 / EIG_FLOOR))^2,
 about 280, wherever a weight is non-zero: the weights agree with the
@@ -90,10 +93,10 @@ def _tile_features(w_px: int, h_px: int) -> np.ndarray:
     return FEATURES.reshape(6, TILE, TILE)[:, :h_px, :w_px].reshape(6, -1)
 
 
-def _tile_offsets(means, x0: int, y0: int) -> np.ndarray:
+def _tile_offsets(means, x0, y0) -> np.ndarray:
     """Means relative to the centre of the tile at (x0, y0), the origin of
-    ``FEATURES``'s (u, v). [n, 2]."""
-    return means - (x0 + TILE / 2, y0 + TILE / 2)
+    ``FEATURES``'s (u, v); one tile, or one per row. [n, 2]."""
+    return means - np.stack([x0 + TILE / 2, y0 + TILE / 2], axis=-1)
 
 
 def _exponent_coefs(conic, offset):
@@ -113,35 +116,42 @@ def _weights(coefs, opacity, feats):
     np.exp(w, out=w)
     w *= opacity[:, None]
     w *= inside  # a product, not a masked store: same bits, fewer branches
-    np.minimum(w, W_MAX, out=w)
+    # exp(w) rounds to at most ~1e-13 above 1: below this no weight reaches W_MAX
+    if opacity.max() * (1.0 + 1e-9) >= W_MAX:
+        np.minimum(w, W_MAX, out=w)
     return w
 
 
-def bin_gaussians(means2d, radius, depth, width, height):
-    """Depth-sorted (tile -> gaussian) pair lists.
-
-    Returns (tile_of_pair, gauss_of_pair) with pairs grouped by tile and
-    ordered front-to-back, ties broken by index.
-    """
-    ntx = (width + TILE - 1) // TILE
-    nty = (height + TILE - 1) // TILE
+def _radius_pairs(means2d, radius, depth, width, height):
+    """(tile column, tile row, Gaussian) of every pair of each Gaussian's
+    radius square, the Gaussians taken in (depth, index) order. [P] each."""
+    ntx, nty = (width + TILE - 1) // TILE, (height + TILE - 1) // TILE
     x0 = np.clip(np.floor((means2d[:, 0] - radius) / TILE).astype(np.int64), 0, ntx)
     x1 = np.clip(np.floor((means2d[:, 0] + radius) / TILE).astype(np.int64) + 1, 0, ntx)
     y0 = np.clip(np.floor((means2d[:, 1] - radius) / TILE).astype(np.int64), 0, nty)
     y1 = np.clip(np.floor((means2d[:, 1] + radius) / TILE).astype(np.int64) + 1, 0, nty)
-    counts = np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    gauss = np.repeat(np.arange(means2d.shape[0]), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    within = np.arange(total) - starts[gauss]
-    rect_w = np.maximum(x1 - x0, 1)
-    dx = within % rect_w[gauss]
-    dy = within // rect_w[gauss]
-    tile = (y0[gauss] + dy) * ntx + (x0[gauss] + dx)
-    order = np.lexsort((gauss, depth[gauss], tile))
+    front_to_back = np.argsort(depth, kind="stable")
+    counts = (np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0))[front_to_back]
+    gauss = np.repeat(front_to_back, counts)
+    within = np.arange(gauss.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    rect_w = np.maximum(x1 - x0, 1)[gauss]
+    return x0[gauss] + within % rect_w, y0[gauss] + within // rect_w, gauss
+
+
+def _by_tile(tx, ty, gauss, width, height):
+    """(tile_of_pair, gauss_of_pair), grouped by tile in their order. The
+    ids sort as the least type that holds them, which numpy radix-sorts."""
+    ntx, nty = (width + TILE - 1) // TILE, (height + TILE - 1) // TILE
+    tile = ty * ntx + tx
+    order = np.argsort(tile.astype(np.min_scalar_type(ntx * nty - 1)), kind="stable")
     return tile[order], gauss[order]
+
+
+def bin_gaussians(means2d, radius, depth, width, height):
+    """``tile_pairs`` without its cull: (tile_of_pair, gauss_of_pair) of
+    every radius-square pair, grouped by tile and ordered front to back,
+    ties broken by index."""
+    return _by_tile(*_radius_pairs(means2d, radius, depth, width, height), width, height)
 
 
 def _edge_min(a, b, c, d, lo, hi):
@@ -153,8 +163,9 @@ def _edge_min(a, b, c, d, lo, hi):
 
 def tile_pairs(means2d, conic, radius, depth, width, height):
     """The (tile -> gaussian) pair lists ``composite`` walks: the pairs of
-    ``bin_gaussians``, kept in their order, that can reach a pixel centre
-    of their tile.
+    ``bin_gaussians`` that can reach a pixel centre of their tile, in the
+    same order. The cull runs on the expanded pairs before the tile sort,
+    so only the survivors are sorted.
 
     A pair is kept iff the minimum of the Mahalanobis^2 over the box of
     the tile's pixel centres is within the 3-sigma cutoff. That minimum
@@ -166,11 +177,9 @@ def tile_pairs(means2d, conic, radius, depth, width, height):
     margin covers the rounding of the tile-local exponent (about 1e-13),
     so every dropped pair has weight 0 at every pixel of its tile.
     """
-    tile_of, gauss_of = bin_gaussians(means2d, radius, depth, width, height)
-    ntx = (width + TILE - 1) // TILE
-    ty, tx = np.divmod(tile_of, ntx)
-    mean = np.asarray(means2d, np.float64)[gauss_of]
-    a, b, c = np.asarray(conic, np.float64)[gauss_of].T
+    tx, ty, gauss = _radius_pairs(means2d, radius, depth, width, height)
+    mean = np.asarray(means2d, np.float64)[gauss]
+    a, b, c = np.asarray(conic, np.float64)[gauss].T
     # pixel-centre box of each pair's tile, relative to its Gaussian's mean
     x_lo = tx * TILE + 0.5 - mean[:, 0]
     x_hi = np.minimum(tx * TILE + TILE, width) - 0.5 - mean[:, 0]
@@ -179,7 +188,7 @@ def tile_pairs(means2d, conic, radius, depth, width, height):
     q_min = np.minimum(_edge_min(a, b, c, np.clip(0.0, x_lo, x_hi), y_lo, y_hi),
                        _edge_min(c, b, a, np.clip(0.0, y_lo, y_hi), x_lo, x_hi))
     keep = q_min <= CUTOFF_SIGMA_SQ * (1.0 + 1e-6)
-    return tile_of[keep], gauss_of[keep]
+    return _by_tile(tx[keep], ty[keep], gauss[keep], width, height)
 
 
 def composite(
@@ -218,12 +227,14 @@ def composite(
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [tile_of.size]])
     ntx = (width + TILE - 1) // TILE
+    ty_of, tx_of = np.divmod(tile_of, ntx)  # per pair: coefficients about its tile's centre
+    offsets = _tile_offsets(means64[gauss_of], tx_of * TILE, ty_of * TILE)
+    coefs_of, op_of = _exponent_coefs(conic64[gauss_of], offsets), op64[gauss_of]
     v_max = np.abs(val64).max(initial=1.0)
     val_ext = np.concatenate([val64, np.ones((n, 1))], axis=1)  # alpha composites a 1
 
     def run_tile(k):
-        t = int(tile_of[starts[k]])
-        ty, tx = divmod(t, ntx)
+        ty, tx = int(ty_of[starts[k]]), int(tx_of[starts[k]])
         x0, y0 = tx * TILE, ty * TILE
         w_px, h_px = min(TILE, width - x0), min(TILE, height - y0)
         feats = _tile_features(w_px, h_px)
@@ -233,10 +244,10 @@ def composite(
         chunks = []
         s, size = starts[k], CHUNK
         while s < ends[k] and alive.size:
-            ids = gauss_of[s : min(s + size, ends[k])]
-            s, size = s + size, 2 * size
-            coefs = _exponent_coefs(conic64[ids], _tile_offsets(means64[ids], x0, y0))
-            w = _weights(coefs, op64[ids], feats[:, alive])
+            e = min(s + size, ends[k])
+            ids = gauss_of[s:e]
+            w = _weights(coefs_of[s:e], op_of[s:e], feats[:, alive])
+            s, size = e, 2 * size
             # the carried T heads the running product, which then rounds
             # exactly as one product over the whole list would
             run = np.empty((ids.size + 1, alive.size))
@@ -244,7 +255,7 @@ def composite(
             np.subtract(1.0, w, out=run[1:])
             np.multiply.accumulate(run, axis=0, out=run)
             t_excl = run[:-1]
-            acc[:, alive] += val_ext[ids].T @ (w * t_excl)
+            acc[:, alive] += val_ext[ids].T @ np.multiply(w, t_excl, out=None if keep_cache else w)
             trans[alive] = run[-1]
             if keep_cache:
                 chunks.append((ids, alive, w, t_excl))

@@ -2,7 +2,10 @@
 
 The brute-force compositor loops per pixel over a global depth sort with
 no tiling or binning; the dense tile compositor evaluates every pixel
-of a tile against its whole depth list, with no early stop; the SH table
+of a tile against its whole depth list, with no early stop, over its own
+radius-square binning (one 3-key lexsort of every pair); the reference
+cull takes the least Mahalanobis^2 over all four edges of each pair's
+pixel-centre box; the SH table
 spells out the real basis polynomials with their normalization constants
 in closed form; the mesh rasterizer reference fills a z-buffer one
 triangle at a time. The weights of the dense references use the direct
@@ -18,7 +21,7 @@ import numpy as np
 
 from meshsplat.assets import ValidationError
 from meshsplat.gstexture import sh_apply, sh_basis, triangle_frames
-from meshsplat.splat.tiles import TILE, bin_gaussians
+from meshsplat.splat.tiles import TILE
 
 CUTOFF = 9.0
 W_MAX = 0.999
@@ -41,6 +44,55 @@ def _weights(means2d, conic, opacity, px):
     w = opacity[:, None] * np.exp(power)
     w[power < -0.5 * CUTOFF] = 0.0
     return np.minimum(w, W_MAX)
+
+
+def radius_square_pairs(means2d, radius, depth, width, height):
+    """(tile, gaussian) pairs of every tile in each Gaussian's square of
+    half-width ``radius``, grouped by tile and ordered by (depth, index)
+    within a tile: one lexsort of (tile, depth, index) over all pairs."""
+    ntx = (width + TILE - 1) // TILE
+    nty = (height + TILE - 1) // TILE
+    tiles, gauss = [], []
+    for i in range(means2d.shape[0]):
+        x0 = np.clip(np.floor((means2d[i, 0] - radius[i]) / TILE).astype(np.int64), 0, ntx)
+        x1 = np.clip(np.floor((means2d[i, 0] + radius[i]) / TILE).astype(np.int64) + 1, 0, ntx)
+        y0 = np.clip(np.floor((means2d[i, 1] - radius[i]) / TILE).astype(np.int64), 0, nty)
+        y1 = np.clip(np.floor((means2d[i, 1] + radius[i]) / TILE).astype(np.int64) + 1, 0, nty)
+        for ty in range(y0, y1):
+            for tx in range(x0, x1):
+                tiles.append(ty * ntx + tx)
+                gauss.append(i)
+    tile, gauss = np.array(tiles, np.int64), np.array(gauss, np.int64)
+    order = np.lexsort((gauss, np.asarray(depth)[gauss], tile))
+    return tile[order], gauss[order]
+
+
+def reference_cull(tile_of, gauss_of, means2d, conic, width, height):
+    """The pairs, in their order, whose 3-sigma ellipse reaches the box of
+    their tile's pixel centres: the least Mahalanobis^2 over the box is 0
+    with the mean inside it, else the least of the four edges' minima,
+    each the edge's quadratic at its clipped stationary point. The 1e-6
+    relative margin is the package's."""
+    ntx = (width + TILE - 1) // TILE
+    keep = np.zeros(tile_of.size, dtype=bool)
+    for k, (t, i) in enumerate(zip(tile_of.tolist(), gauss_of.tolist())):
+        ty, tx = divmod(t, ntx)
+        mx, my = float(means2d[i, 0]), float(means2d[i, 1])
+        a, b, c = (float(x) for x in conic[i])
+        xs = (tx * TILE + 0.5 - mx, min(tx * TILE + TILE, width) - 0.5 - mx)
+        ys = (ty * TILE + 0.5 - my, min(ty * TILE + TILE, height) - 0.5 - my)
+        if xs[0] <= 0.0 <= xs[1] and ys[0] <= 0.0 <= ys[1]:
+            keep[k] = True
+            continue
+        q = []
+        for dx in xs:  # vertical edges: dy free in ys
+            dy = min(max(-b * dx / c, ys[0]), ys[1])
+            q.append(a * dx * dx + 2.0 * b * dx * dy + c * dy * dy)
+        for dy in ys:  # horizontal edges: dx free in xs
+            dx = min(max(-b * dy / a, xs[0]), xs[1])
+            q.append(a * dx * dx + 2.0 * b * dx * dy + c * dy * dy)
+        keep[k] = min(q) <= CUTOFF * (1.0 + 1e-6)
+    return tile_of[keep], gauss_of[keep]
 
 
 def brute_force_composite(means2d, conic, opacity, values, depth, width, height):
@@ -73,7 +125,7 @@ def reference_composite(means2d, conic, opacity, values, depth, radius, width, h
     float64, cache of (x0, y0, ids, w) per tile)."""
     n_values = values.shape[1]
     out = np.zeros((height, width, n_values + 1))
-    tile_of, gauss_of = bin_gaussians(means2d, radius, depth, width, height)
+    tile_of, gauss_of = radius_square_pairs(means2d, radius, depth, width, height)
     ntx = (width + TILE - 1) // TILE
     val64 = values.astype(np.float64)
     cache = []

@@ -68,6 +68,17 @@ def test_build_template_rejects_ref_frame_outside_motion(workdir, tmp_path, ref_
     assert "outside motion of length 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("band", ["nan", "inf", "0", "-1"])
+def test_build_template_rejects_band_not_finite_and_positive(tmp_path, band, capsys):
+    # a NaN band made every distance test False and so switched the gate off
+    assert run(["gen-rig", "--joints", "3", "--out", str(tmp_path / "body.tpl")]) == 0
+    out = tmp_path / "merged.tpl"
+    assert run(["build-template", "--body", str(tmp_path / "body.tpl"), "--synthetic-skirt",
+                "--band", band, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "band must be finite and > 0" in capsys.readouterr().err
+
+
 def test_lambda_lpips_is_not_a_setting(workdir, tmp_path):
     # no feature network backs a perceptual term, so no flag or config key sets its weight
     argv = ["bake", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
@@ -125,6 +136,16 @@ def test_render_relight_rejects_zero_or_non_finite_light(workdir, light):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ambient", ["nan", "inf", "-5"])
+def test_render_relight_rejects_ambient_not_finite_and_non_negative(workdir, ambient, capsys):
+    out = workdir / "bad_ambient.ppm"
+    assert run(["render", "--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx"),
+                "--res", "32x32", "--relight", "0,0,1", "--ambient", ambient, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "ambient term finite and >= 0" in capsys.readouterr().err
+
+
 def test_animate_writes_all_frames(workdir, capsys):
     out_dir = workdir / "anim"
     assert run(["animate", "--template", str(workdir / "rig.tpl"),
@@ -141,6 +162,7 @@ def test_bench_summary_fields(capsys):
         assert key in line
     fields = dict(kv.split("=", 1) for kv in line.split())
     assert float(fields["saturated_px_frac"]) == 0.0  # 500 Gaussians cover no pixel opaquely
+    assert int(fields["pairs"]) > 0
     assert run(["bench", "--gaussians", "5000", "--res", "64x64", "--frames", "1"]) == 0
     fields = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
     assert 0.0 < float(fields["saturated_px_frac"]) < 0.01

@@ -12,8 +12,10 @@ from meshsplat.splat.projection import EIG_FLOOR, _eig_clamp
 
 from oracles import (
     brute_force_composite,
+    radius_square_pairs,
     reference_composite,
     reference_composite_backward,
+    reference_cull,
     reference_raster_backward,
     reference_rasterize,
 )
@@ -360,6 +362,59 @@ def test_culled_pairs_have_zero_weight_over_their_tile(scene, request):
         assert not weight_of[(0, 0)].any()
     elif scene == "tangent:1e-3":
         assert (0, 0) in dropped
+
+
+@pytest.mark.parametrize("res", [(90, 70), (333, 290)])  # 48 and 399 tiles
+@pytest.mark.parametrize("n", [0, 1, 40, 300])
+def test_pair_lists_equal_reference_binning_and_cull(n, res):
+    """``bin_gaussians`` is the oracle's lexsorted radius-square binning, and
+    ``tile_pairs`` that binning after the oracle's cull, array for array:
+    means up to 40 px off-screen, partial edge tiles, tied depth keys."""
+    rng = np.random.default_rng(100 + n)
+    width, height = res
+    means2d = rng.uniform(-40.0, (width + 40.0, height + 40.0), size=(n, 2))
+    conic, radius = _conics_2d(rng.uniform(1.0, 30.0, (n, 2)), rng.uniform(0.0, np.pi, n))
+    u16 = splat.quantized_depth_keys(rng.choice([1.0, 1.5, 2.0], n), 0.1, 20.0)
+    for key, dtype in ((u16, np.float32), (rng.random(n).astype(np.float32), np.float64)):
+        args = means2d.astype(dtype), conic.astype(dtype), radius.astype(dtype), key
+        want = radius_square_pairs(args[0], args[2], key, width, height)
+        got = tiles.bin_gaussians(args[0], args[2], key, width, height)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+        want = reference_cull(*want, args[0], args[1], width, height)
+        got = tiles.tile_pairs(*args, width, height)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    if n == 300:  # the scene has ties, pairs off-screen means bring, and culled pairs
+        assert np.unique(u16).size == 3
+        off = (means2d < 0).any(axis=1) | (means2d >= res).any(axis=1)
+        assert np.isin(want[1], np.nonzero(off)[0]).any()
+        assert want[0].size < radius_square_pairs(means2d, radius, u16, width, height)[0].size
+
+
+def test_composite_without_cache_equals_with_cache(clothed_rig, clothed_texture):
+    args = _composite_args(*_opaque_shell(clothed_rig, clothed_texture))
+    assert np.array_equal(splat.composite(*args)[0], splat.composite(*args, keep_cache=True)[0])
+
+
+def test_weight_clamp_skipped_only_where_it_changes_nothing(monkeypatch, clothed_rig,
+                                                            clothed_texture):
+    """Below ``W_MAX`` the clamp pass is skipped, and the image equals a
+    forced clamp bit for bit; above it every cached weight is clamped."""
+    args = list(_composite_args(*_opaque_shell(clothed_rig, clothed_texture)))
+    assert args[2].max() > tiles.W_MAX
+    _, cache = splat.composite(*args, keep_cache=True)
+    w_max = max(w.max() for _, _, chunks in cache.tiles for _, _, w, _ in chunks)
+    assert w_max == tiles.W_MAX
+
+    # means on pixel centres, where the exponent is 0 up to its rounding
+    args[0] = np.floor(args[0]) + 0.5
+    args[2] = np.full(args[2].shape, tiles.W_MAX / (1.0 + 2e-9))
+    skipped, cache = splat.composite(*args, keep_cache=True)
+    w_max = max(w.max() for _, _, chunks in cache.tiles for _, _, w, _ in chunks)
+    assert tiles.W_MAX * (1.0 - 1e-8) < w_max < tiles.W_MAX
+    weights = tiles._weights
+    monkeypatch.setattr(tiles, "_weights", lambda coefs, opacity, feats: np.minimum(
+        weights(coefs, opacity, feats), tiles.W_MAX))
+    assert np.array_equal(splat.composite(*args)[0], skipped)
 
 
 def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture):
@@ -847,6 +902,18 @@ def test_relight_rejects_zero_or_non_finite_light(light):
     normal = np.zeros((4, 4, 3), np.float32)
     with pytest.raises(assets.ValidationError, match="light direction"):
         splat.relight(color, normal, light)
+
+
+@pytest.mark.parametrize("setting, match", [
+    ({"ambient": np.nan}, "ambient term"), ({"ambient": np.inf}, "ambient term"),
+    ({"ambient": -0.5}, "ambient term"), ({"light_rgb": (1.0, np.nan, 1.0)}, "light color"),
+    ({"light_rgb": (np.inf, 1.0, 1.0)}, "light color"),
+])
+def test_relight_rejects_non_finite_light_color_or_bad_ambient(setting, match):
+    color = np.full((4, 4, 3), 0.5, np.float32)
+    normal = np.zeros((4, 4, 3), np.float32)
+    with pytest.raises(assets.ValidationError, match=match):
+        splat.relight(color, normal, (0.0, 0.0, 1.0), **setting)
 
 
 # ---------------------------------------------------------------------------
