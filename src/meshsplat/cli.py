@@ -136,6 +136,8 @@ def _run_preflight_gate(args) -> None:
 
 
 def cmd_gen_rig(args) -> int:
+    if args.expressions < 0:
+        raise ValidationError(f"--expressions must be at least 0, got {args.expressions}")
     t = assets.make_capsule_rig(args.joints, cloth=args.cloth, seed=args.seed,
                                 n_expressions=args.expressions)
     assets.save_template(t, args.out)
@@ -313,6 +315,8 @@ def cmd_animate(args) -> int:
 def cmd_bench(args) -> int:
     if args.frames < 1:
         raise ValidationError(f"--frames must be at least 1, got {args.frames}")
+    if args.gaussians < 0:
+        raise ValidationError(f"--gaussians must be at least 0, got {args.gaussians}")
     rng = np.random.default_rng(args.seed)
     w, h = _parse_res(args.res)
     n = args.gaussians

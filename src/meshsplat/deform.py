@@ -1,5 +1,5 @@
 """Student-side animation stack: positional encoding, the dual-MLP
-non-rigid deformation field (cloth branch masked to cloth vertices, body
+non-rigid deformation field (cloth branch on cloth vertices only, body
 branch everywhere), mapping networks and blend-shape compensation, and
 the per-frame pose-to-image pipeline.
 """
@@ -99,7 +99,7 @@ class StudentBundle:
     shapes, and the per-frame embedding table."""
 
     body_mlp: list            # S_b, 5 layers
-    cloth_mlp: list           # S_c, 5 layers, output masked to cloth
+    cloth_mlp: list           # S_c, 5 layers, run on cloth vertices only
     head_map: list            # expression -> head coefficients
     body_map: list            # pose -> body coefficients
     blend_pos: np.ndarray     # [G,3,n]
@@ -191,14 +191,14 @@ def student_deform(
     frame: FrameInput,
     frame_index: int | None = None,
 ) -> np.ndarray:
-    """Canonical-space non-rigid deltas: cloth branch masked by the cloth
-    flag plus the body branch."""
+    """Canonical-space non-rigid deltas: the body branch at every vertex,
+    plus the cloth branch, which runs on the cloth-flagged rows only."""
     z = resolve_embedding(bundle, frame, frame_index)
     g = student_inputs(bundle, template, frame, z)
-    body = mlp_forward(bundle.body_mlp, g)
-    cloth = mlp_forward(bundle.cloth_mlp, g)
-    m = template.cloth_mask.astype(np.float32)[:, None]
-    return cloth * m + body
+    delta = mlp_forward(bundle.body_mlp, g)
+    rows = np.flatnonzero(template.cloth_mask)
+    delta[rows] += mlp_forward(bundle.cloth_mlp, g[rows])
+    return delta
 
 
 def blend_coeffs(bundle: StudentBundle, frame: FrameInput) -> np.ndarray:

@@ -6,11 +6,12 @@ splatter projects Gaussian means through it and the mesh rasterizer
 projects vertices through it, so a mesh render and a splat render of
 the same surface land on the same pixels.
 
-Covariance: sigma_world = R S^2 R^T is pushed through the camera rotation
-and the projection Jacobian. A projected covariance eigenvalue below the
-low-pass floor is raised to it, with the eigenvectors kept, so the thin
-axis never aliases below a pixel; a covariance whose eigenvalues are
-both at or above the floor passes through unchanged.
+Covariance: J R S^2 R^T J^T, with J the mean's pixel Jacobian, is formed
+as M M^T from the 2x3 factor M = J R S, never via the world covariance.
+A projected covariance eigenvalue below the low-pass floor is raised to
+it, with the eigenvectors kept, so the thin axis never aliases below a
+pixel; a covariance whose eigenvalues are both at or above the floor
+passes through unchanged.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def project_gaussians(
     scales: np.ndarray,
     camera: Camera,
 ) -> Projected:
-    """Project world Gaussians through a perspective or orthographic camera."""
+    """Project world Gaussians through a perspective or orthographic camera;
+    the 2D covariance is M M^T, M = ``jac`` @ ``rot_mats`` @ diag(``scales``)."""
     camera.validate()
     if not (np.isfinite(means).all() and np.isfinite(scales).all()):
         bad = np.nonzero(~(np.isfinite(means).all(axis=1) & np.isfinite(scales).all(axis=1)))[0]
@@ -118,11 +120,12 @@ def project_gaussians(
     z = x_cam[:, 2]
     visible = (z > camera.near) & (z < camera.far)
 
-    # world covariance -> screen
-    rs = rot_mats.astype(np.float64) * scales.astype(np.float64)[:, None, :]
-    cov_w = rs @ np.swapaxes(rs, 1, 2)
-    cov2d_full = np.einsum("nab,nbc,ndc->nad", jac, cov_w, jac)
-    cov2d = np.stack([cov2d_full[:, 0, 0], cov2d_full[:, 0, 1], cov2d_full[:, 1, 1]], axis=1)
+    # world covariance -> screen: J R S^2 R^T J^T = M M^T with M = J R S
+    m = jac @ rot_mats
+    m *= scales[:, None, :]
+    m0, m1 = m[:, 0], m[:, 1]
+    cov2d = np.stack([np.einsum("nk,nk->n", m0, m0), np.einsum("nk,nk->n", m0, m1),
+                      np.einsum("nk,nk->n", m1, m1)], axis=1)
     cov2d, lam_max = _eig_clamp(cov2d, EIG_FLOOR)
 
     det = cov2d[:, 0] * cov2d[:, 2] - cov2d[:, 1] ** 2

@@ -108,6 +108,12 @@ def _exponent_coefs(conic, offset):
                      a * du + b * dv, c * dv + b * du, -0.5 * a, -0.5 * c, -b], axis=1)
 
 
+def _may_clamp(opacity) -> bool:
+    """Whether a weight of these opacities can reach ``W_MAX``: the
+    tile-local exponent's exp rounds to at most ~1e-13 above 1."""
+    return opacity.max(initial=0.0) * (1.0 + 1e-9) >= W_MAX
+
+
 def _weights(coefs, opacity, feats):
     """w = opacity * exp(coefs @ feats) truncated at the 3-sigma cutoff and
     clamped to ``W_MAX``. [n, m], built in place on the one exponent buffer."""
@@ -116,8 +122,7 @@ def _weights(coefs, opacity, feats):
     np.exp(w, out=w)
     w *= opacity[:, None]
     w *= inside  # a product, not a masked store: same bits, fewer branches
-    # exp(w) rounds to at most ~1e-13 above 1: below this no weight reaches W_MAX
-    if opacity.max() * (1.0 + 1e-9) >= W_MAX:
+    if _may_clamp(opacity):
         np.minimum(w, W_MAX, out=w)
     return w
 
@@ -178,13 +183,14 @@ def tile_pairs(means2d, conic, radius, depth, width, height):
     so every dropped pair has weight 0 at every pixel of its tile.
     """
     tx, ty, gauss = _radius_pairs(means2d, radius, depth, width, height)
-    mean = np.asarray(means2d, np.float64)[gauss]
-    a, b, c = np.asarray(conic, np.float64)[gauss].T
+    # per pair, each input column gathered from a contiguous copy of it
+    mx, my, a, b, c = (np.ascontiguousarray(col, np.float64)[gauss]
+                       for col in (*np.asarray(means2d).T, *np.asarray(conic).T))
     # pixel-centre box of each pair's tile, relative to its Gaussian's mean
-    x_lo = tx * TILE + 0.5 - mean[:, 0]
-    x_hi = np.minimum(tx * TILE + TILE, width) - 0.5 - mean[:, 0]
-    y_lo = ty * TILE + 0.5 - mean[:, 1]
-    y_hi = np.minimum(ty * TILE + TILE, height) - 0.5 - mean[:, 1]
+    x_lo = tx * TILE + 0.5 - mx
+    x_hi = np.minimum(tx * TILE + TILE, width) - 0.5 - mx
+    y_lo = ty * TILE + 0.5 - my
+    y_hi = np.minimum(ty * TILE + TILE, height) - 0.5 - my
     q_min = np.minimum(_edge_min(a, b, c, np.clip(0.0, x_lo, x_hi), y_lo, y_hi),
                        _edge_min(c, b, a, np.clip(0.0, y_lo, y_hi), x_lo, x_hi))
     keep = q_min <= CUTOFF_SIGMA_SQ * (1.0 + 1e-6)
@@ -289,6 +295,7 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
     means64, conic64 = cache.means2d, cache.conic
     op64 = np.maximum(cache.opacity, 1e-12)
     val_ext = np.concatenate([cache.values, np.ones((n, 1))], axis=1)
+    clamped = _may_clamp(cache.opacity)  # else no weight reached W_MAX
 
     for (x0, y0, chunks) in cache.tiles:
         w_px, h_px = min(TILE, cache.width - x0), min(TILE, cache.height - y0)
@@ -323,7 +330,8 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             p *= t_excl
             p -= suffix  # dL/dw
             dww = np.multiply(p, w, out=p)  # dL/dw * w, zero wherever w is
-            dww[w >= W_MAX] = 0.0  # clamp boundary
+            if clamped:
+                dww[w >= W_MAX] = 0.0  # clamp boundary
 
             # w = op exp(K F), so dL/dop = sum_px dww / op and dL/dmean =
             # conic (x - mean) summed against dww: both from the moments of

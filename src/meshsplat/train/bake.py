@@ -120,13 +120,16 @@ def write_train_log(history: list[dict], path) -> None:
 def student_delta_graph(params: dict, template: RiggedTemplate, bundle: deform.StudentBundle,
                         frame: FrameInput, frame_index: int) -> Tensor:
     """``deform.student_deform`` in the graph: the runtime's inputs and
-    MLPs, differentiated through ``ops.student_inputs`` and ``ops.mlp``.
-    The embedding is ``deform.resolve_embedding``'s: a frame's own ``z``
-    (a constant) first, else its ``z_table`` row."""
+    MLPs, the cloth net on the cloth rows only, differentiated through
+    ``ops.student_inputs`` and ``ops.mlp``. The embedding is
+    ``deform.resolve_embedding``'s: a frame's own ``z`` (a constant)
+    first, else its ``z_table`` row."""
     z = params["z_table"][frame_index] if frame.z is None else constant(deform.resolve_embedding(bundle, frame))
     x = ops.student_inputs(bundle, template, frame, z)
-    mask = constant(template.cloth_mask.astype(np.float32)[:, None])
-    return ops.mlp(params["sc"], x) * mask + ops.mlp(params["sb"], x)
+    body = ops.mlp(params["sb"], x)
+    rows, rest = np.flatnonzero(template.cloth_mask), np.flatnonzero(template.cloth_mask == 0)
+    cloth = body[rows] + ops.mlp(params["sc"], x[rows])
+    return concat([cloth, body[rest]])[np.argsort(np.concatenate([rows, rest]))]
 
 
 def blend_coeffs_graph(params: dict, frame: FrameInput) -> Tensor:

@@ -150,8 +150,8 @@ class Mul(Function):
 
 
 class GetItem(Function):
-    """Basic indexing (integers and slices), which selects each element
-    at most once."""
+    """Indexing that selects each element at most once: integers, slices
+    or an array of unique rows."""
 
     def forward(self, a, key):
         self.shape = a.shape

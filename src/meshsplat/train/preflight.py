@@ -8,8 +8,8 @@ as a linear layer and a deep net under L1, finetune's blend coefficients
 non-rigid map loss, the splat backward (color / opacity / 2D mean), the
 projection Jacobian, training's differentiable splat end to end
 (``ops.splat_render``), the runtime's binding (``ops.bind``), and bake's
-student field with its embedding row and cloth mask
-(``bake.student_delta_graph``). Smooth paths must agree to 1e-3
+student field with its embedding row and the cloth net on the cloth
+rows (``bake.student_delta_graph``). Smooth paths must agree to 1e-3
 relative, the splat paths to 1e-2.
 """
 
@@ -275,7 +275,7 @@ def check_bind(seed: int = 9) -> GradReport:
 def check_student(seed: int = 11) -> GradReport:
     """Bake's student field (``bake.student_delta_graph``) in float64 on a
     small clothed rig, for the embedding table and both nets (the cloth
-    net through the cloth mask). No evaluation may flip a pre-activation's
+    net on the cloth rows). No evaluation may flip a pre-activation's
     sign: with 8 hidden units no ReLU kink lies within FD reach of the
     point checked (with 128 units some do)."""
     template = assets.make_capsule_rig(3, cloth=True, seed=seed, n_around=6)
@@ -289,9 +289,10 @@ def check_student(seed: int = 11) -> GradReport:
     def nets(arrays):  # the body and cloth layers of [z_table, *body, *cloth]
         return [list(zip(arrays[i:i + 6:2], arrays[i + 1:i + 6:2])) for i in (1, 7)]
 
-    def net_inputs(arrays):
+    def net_inputs(arrays):  # the cloth net reads the cloth rows only
         x = deform.student_inputs(bundle, template, frame, arrays[0][1])
-        return [(net, x) for net in nets(arrays)]
+        body, cloth = nets(arrays)
+        return [(body, x), (cloth, x[np.flatnonzero(template.cloth_mask)])]
 
     def build(ts):
         sb, sc = nets(ts)

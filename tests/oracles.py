@@ -5,10 +5,10 @@ no tiling or binning; the dense tile compositor evaluates every pixel
 of a tile against its whole depth list, with no early stop, over its own
 radius-square binning (one 3-key lexsort of every pair); the reference
 cull takes the least Mahalanobis^2 over all four edges of each pair's
-pixel-centre box; the SH table
-spells out the real basis polynomials with their normalization constants
-in closed form; the mesh rasterizer reference fills a z-buffer one
-triangle at a time. The weights of the dense references use the direct
+pixel-centre box; the screen covariance is built in the direct form,
+world covariance first; the SH table spells out the real basis
+polynomials with their normalization constants in closed form; the mesh
+rasterizer reference fills a z-buffer one triangle at a time. The weights of the dense references use the direct
 per-pixel exponent, not the package's tile-local quadratic form.
 
 Also here, for the tests only: single-triangle and single-direction
@@ -210,6 +210,15 @@ SH_TABLE = [
     lambda x, y, z: 0.25 * np.sqrt(105.0 / _PI) * z * (x * x - y * y),
     lambda x, y, z: -0.25 * np.sqrt(35.0 / (2.0 * _PI)) * x * (x * x - 3.0 * y * y),
 ]
+
+
+def reference_cov2d(jac, rot_mats, scales):
+    """Screen covariance rows (a, b, c) in the direct form: the world
+    covariance R S^2 R^T, then J Sigma J^T as one 3-operand einsum."""
+    rs = rot_mats.astype(np.float64) * scales.astype(np.float64)[:, None, :]
+    cov_w = rs @ np.swapaxes(rs, 1, 2)
+    full = np.einsum("nab,nbc,ndc->nad", jac, cov_w, jac)
+    return np.stack([full[:, 0, 0], full[:, 0, 1], full[:, 1, 1]], axis=1)
 
 
 def sh_color_oracle(sh, direction):

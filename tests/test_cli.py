@@ -174,6 +174,17 @@ def test_bench_rejects_frames_below_one(frames, capsys):
     assert "frames" in capsys.readouterr().err
 
 
+def test_bench_rejects_negative_gaussians(capsys):
+    assert run(["bench", "--gaussians", "-5", "--res", "32x32", "--frames", "1"]) == 3
+    assert "--gaussians" in capsys.readouterr().err
+
+
+def test_gen_rig_rejects_negative_expressions(tmp_path, capsys):
+    assert run(["gen-rig", "--expressions", "-1", "--out", str(tmp_path / "r.tpl")]) == 3
+    assert "--expressions" in capsys.readouterr().err
+    assert not (tmp_path / "r.tpl").exists()
+
+
 def test_preflight_reports_every_suite(capsys):
     assert run(["preflight"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -15,6 +15,7 @@ from oracles import (
     radius_square_pairs,
     reference_composite,
     reference_composite_backward,
+    reference_cov2d,
     reference_cull,
     reference_raster_backward,
     reference_rasterize,
@@ -417,6 +418,35 @@ def test_weight_clamp_skipped_only_where_it_changes_nothing(monkeypatch, clothed
     assert np.array_equal(splat.composite(*args)[0], skipped)
 
 
+def test_backward_clamp_mask_skipped_only_where_it_changes_nothing(monkeypatch, clothed_rig,
+                                                                  clothed_texture):
+    """Below ``W_MAX`` the backward skips the clamp mask, and its gradients
+    equal the masked form's bit for bit; above it a clamped pixel passes
+    no weight gradient on."""
+    args = list(_composite_args(*_opaque_shell(clothed_rig, clothed_texture)))
+    args[2] = np.full(args[2].shape, tiles.W_MAX / (1.0 + 2e-9))
+    width, height = args[-2:]
+    d_out = np.random.default_rng(4).normal(size=(height, width, args[3].shape[1] + 1))
+    skipped = splat.composite_backward(splat.composite(*args, keep_cache=True)[1], d_out)
+    with monkeypatch.context() as m:
+        m.setattr(tiles, "_may_clamp", lambda opacity: True)
+        masked = splat.composite_backward(splat.composite(*args, keep_cache=True)[1], d_out)
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, masked))
+
+    # one opaque Gaussian, mean on a pixel centre: d_out only on the pixels
+    # whose weight is clamped reaches the value, never the opacity or mean
+    one = (np.array([[8.5, 8.5]]), np.array([[1e-3, 0.0, 1e-3]]), np.array([1.0]),
+           np.array([[0.5]]), np.array([1.0]), np.array([95.0]), 16, 16)
+    _, cache = splat.composite(*one, keep_cache=True)
+    (_, _, [(_, alive, w, _)]), = cache.tiles
+    clamped = alive[w[0] >= tiles.W_MAX]
+    assert 0 < clamped.size < alive.size
+    d_out = np.zeros((16, 16, 2))
+    d_out.reshape(-1, 2)[clamped] = 1.0
+    d_values, d_opacity, d_means = splat.composite_backward(cache, d_out)
+    assert d_values[0, 0] > 0.0 and d_opacity[0] == 0.0 and not d_means.any()
+
+
 def test_early_stop_gradients_within_derived_bound(clothed_rig, clothed_texture):
     """The backward is the exact gradient of the truncated forward; it
     differs from the dense gradient only by the pairs behind each pixel's
@@ -589,6 +619,39 @@ def test_eig_clamp_lifts_only_eigenvalues_below_the_floor():
     unclamped[n * 3 + 1] = True  # exactly at the floor in both eigenvalues
     assert unclamped[:n].all() and not unclamped[n:3 * n].any()
     assert out[unclamped].tobytes() == cov[unclamped].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["perspective", "ortho-front"])
+def test_conic_and_radius_match_direct_covariance(mode):
+    # cov2d = M M^T with M = J R S against the world covariance pushed
+    # through J by one einsum, floored by eigendecomposition: thin-axis and
+    # isotropic Gaussians, projected eigenvalues on both sides of the
+    # floor, and no Gaussians at all
+    if mode == "perspective":
+        cam = _front_camera(focal=120.0)
+    else:
+        cam = assets.Camera(mode, (64, 64), np.array([2.0, 2.0, 0.0, 0.0], np.float32),
+                            assets.look_at((0.0, 3.0, 0.0), (0.0, 0.0, 0.0)), near=0.1, far=20.0)
+    rng = np.random.default_rng(8)
+    n = 400
+    wg = _random_cloud(rng, n, spread=0.6, scale_range=(0.002, 0.08))
+    scales = wg.scales.copy()
+    scales[np.arange(n // 2), rng.integers(0, 3, n // 2)] *= 1e-4  # one thin axis
+    scales[n // 2:] = scales[n // 2:, :1]  # isotropic
+    for k in (0, n):
+        rots, sc = wg.rot_mats[:k], scales[:k]
+        proj = splat.project_gaussians(wg.means[:k], rots, sc, cam)
+        cov = reference_cov2d(proj.jac, rots, sc)
+        lam, vecs = np.linalg.eigh(np.stack([cov[:, [0, 1]], cov[:, [1, 2]]], 1))
+        floored = vecs @ (np.maximum(lam, EIG_FLOOR)[:, :, None] * np.swapaxes(vecs, 1, 2))
+        inv = np.linalg.inv(floored)
+        conic = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 1]], 1)
+        radius = 3.0 * np.sqrt(np.maximum(lam[:, 1], EIG_FLOOR))
+        assert proj.conic.shape == (k, 3) and proj.radius.shape == (k,)
+        assert np.all(np.abs(proj.conic - conic).max(axis=1) <= 1e-12 * np.abs(conic).max(axis=1))
+        assert np.all(np.abs(proj.radius - radius) <= 1e-12 * radius)
+    assert (lam[:, 0] < EIG_FLOOR).any() and (lam[:, 0] > EIG_FLOOR).any()
+    assert (lam[:n // 2, 1] > 1e3 * lam[:n // 2, 0]).any()
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,41 @@ def test_bake_student_graph_is_runtime_student(tiny_setup):
         assert np.array_equal(graph, runtime)
 
 
+def test_rig_without_cloth_runs_the_body_net_only():
+    # with no cloth vertex the student is the body net bit for bit, and a
+    # bake step leaves the cloth net as it was
+    t = assets.make_capsule_rig(4, cloth=False, seed=3)
+    assert not t.cloth_mask.any()
+    tex = gstexture.init_texture(t, 1, 1, seed=2)
+    mot = assets.make_swing_motion(t, 2, seed=1, resolution=(32, 32))
+    bundle = _random_student(t, tex, mot)
+    for i, frame in enumerate(mot.frames):
+        x = deform.student_inputs(bundle, t, frame, deform.resolve_embedding(bundle, frame, i))
+        body = deform.mlp_forward(bundle.body_mlp, x)
+        assert deform.student_deform(bundle, t, frame, frame_index=i).tobytes() == body.tobytes()
+    src = teacher.procedural_teacher(t, tex, mot, field="sway", amplitude=0.2, seed=4, map_resolution=32)
+    baked, _, _ = train.bake(t, tex, bundle, src, mot, train.TrainConfig(iterations=1, map_resolution=32))
+    flat = lambda layers: np.concatenate([a.ravel() for layer in layers for a in layer])
+    assert flat(baked.cloth_mlp).tobytes() == flat(bundle.cloth_mlp).tobytes()
+    assert not np.array_equal(flat(baked.body_mlp), flat(bundle.body_mlp))
+
+
+def test_student_preflight_guards_the_cloth_net_on_its_cloth_rows(monkeypatch):
+    # the kink guard reads the body net on every row and the cloth net on
+    # exactly the cloth rows, the inputs the cloth net sees in the graph
+    from meshsplat.train import preflight
+    seen = {}
+    monkeypatch.setattr(preflight, "_check_clear_of_kinks",
+                        lambda name, build, params, net_inputs, seed: seen.update(
+                            pairs=net_inputs(params)))
+    preflight.check_student()
+    (_, x), (_, x_cloth) = seen["pairs"]
+    mask = assets.make_capsule_rig(3, cloth=True, seed=11, n_around=6).cloth_mask
+    assert x.shape[0] == mask.size and 0 < mask.sum() < mask.size
+    assert x_cloth.shape[0] == mask.sum()
+    assert np.array_equal(x_cloth, x[mask != 0])
+
+
 def test_finetune_coeffs_graph_is_runtime_blend_coeffs(tiny_setup):
     t, tex, mot, _ = tiny_setup
     bundle = _random_student(t, tex, mot)
