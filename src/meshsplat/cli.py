@@ -548,9 +548,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if getattr(args, "threads", None) == 0:
-        args.threads = os.cpu_count() or 1
     try:
+        if getattr(args, "threads", 1) < 0:
+            raise ValidationError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
+        if getattr(args, "threads", None) == 0:
+            args.threads = os.cpu_count() or 1
         return args.func(args)
     except (ValidationError, ContainerError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,12 +1,16 @@
 """Tile-based front-to-back alpha compositing of projected Gaussians.
 
-The screen is cut into 16x16 tiles. ``tile_pairs`` takes the Gaussians in
-(depth, index) order, pairs each with the tiles of the square of
-half-width ``radius`` (3 sqrt(lambda_max)) around its mean, keeps the
-pairs whose 3-sigma ellipse reaches the box of their tile's pixel
-centres (about 30% do not, and would add only exact zeros), and groups
-the survivors by tile with one stable sort, so each tile's list runs
-front to back. Each tile's list is composited per pixel:
+The screen is cut into ``TILE`` x ``TILE`` tiles (12 px: a projected
+Gaussian covers a small part of a tile, and every entry of a tile's
+dense weight block is evaluated, cached and differentiated, so the
+tile follows the footprint). ``tile_pairs`` takes the Gaussians in
+(depth, index) order, pairs each with the tiles of the box of its
+3-sigma ellipse (within the square of half-width ``radius``,
+3 sqrt(lambda_max), around its mean), keeps the pairs whose ellipse
+reaches the box of their tile's pixel centres (the others would add
+only exact zeros), and groups the survivors by tile with one stable
+sort, so each tile's list runs front to back. Each tile's list is
+composited per pixel:
 C = sum_i v_i w_i T_i with T_i = prod_{j<i} (1 - w_j) and
 w_i = opacity_i * exp(-0.5 * mahalanobis^2), truncated at 3 sigma and
 clamped to 0.999.
@@ -31,20 +35,23 @@ monomials [1, u, v, u^2, v^2, uv] (``FEATURES``, one constant for every
 full tile), built with each pair's opacity for all pairs before the tile
 loop. A chunk's exponents are one [n, 6] @ [6, m] BLAS product of a slice
 of those rows, and the cutoff, exp, opacity and clamp run in place on
-that buffer. The
-expansion rounds differently from the direct form by a few ulps of its
-constant term, which is at most 0.5 * (3 + 8 * sqrt(2 / EIG_FLOOR))^2,
-about 280, wherever a weight is non-zero: the weights agree with the
-direct form to about 1e-13.
+that buffer. The expansion rounds differently from the direct form by a
+few ulps of its constant term, which is at most
+0.5 * (3 + (TILE / 2) * sqrt(2 / EIG_FLOOR))^2, about 170, wherever a
+weight is non-zero: the weights agree with the direct form to about
+1e-13.
 
 The cache keeps the float64 inputs that were composited, and each
-chunk's Gaussians, alive pixels, weights and exclusive transmittance, so
-the backward pass needs only the image gradient. It walks a tile's
-chunks back to front, carrying each pixel's suffix sum over the later
-chunks, and emits the exact gradient of the truncated forward for
-per-Gaussian channel values, opacities, and 2D means (the weight
-exponent path); the 2D covariance is held fixed. The opacity and mean
-gradients need dL/dw * w only through its moments M over [1, u, v], one
+chunk's Gaussians, alive pixels, weights w and contributions w * T (the
+product the forward composites), so the backward pass needs only the
+image gradient. It walks a tile's chunks back to front, carrying each
+pixel's suffix sum of w * T * P (P the pixel's gradient dotted with the
+Gaussian's values and alpha) over the later chunks, and emits the exact
+gradient of the truncated forward for per-Gaussian channel values,
+opacities, and 2D means (the weight exponent path); the 2D covariance is
+held fixed. With S_i the strict suffix sum behind Gaussian i,
+dL/dw_i * w_i = w_i T_i P_i - S_i w_i / (1 - w_i). The opacity and mean
+gradients need that only through its moments M over [1, u, v], one
 [n, m] @ [m, 3] product: dL/dopacity = M_1 / opacity and
 dL/dmean = conic @ ((M_u, M_v) - (du, dv) * M_1).
 """
@@ -58,7 +65,7 @@ import numpy as np
 
 from .projection import CUTOFF_SIGMA_SQ
 
-TILE = 16
+TILE = 12
 W_MAX = 0.999
 STOP_BOUND = 1e-8  # below half a float32 ulp at 1.0
 CHUNK = 256        # Gaussians in a tile's first chunk; each later chunk doubles
@@ -76,7 +83,7 @@ class TileCache:
     opacity: np.ndarray  # [N]
     values: np.ndarray   # [N,C]
     tiles: list          # (x0, y0, chunks) per tile, front to back
-                         # chunk: (ids [n], alive px [m], w [n, m], t_excl [n, m])
+                         # chunk: (ids [n], alive px [m], w [n, m], w * T [n, m])
 
 
 # Pixel centres of a full tile relative to its centre, (u, v), and the
@@ -127,20 +134,35 @@ def _weights(coefs, opacity, feats):
     return w
 
 
-def _radius_pairs(means2d, radius, depth, width, height):
-    """(tile column, tile row, Gaussian) of every pair of each Gaussian's
-    radius square, the Gaussians taken in (depth, index) order. [P] each."""
+def _tile_span(centre, half, n_tiles):
+    """[first, last + 1) of the tiles that the interval ``centre`` +-
+    ``half`` overlaps on one axis, clipped to [0, n_tiles]."""
+    return (np.clip(np.floor((centre - half) / TILE).astype(np.int64), 0, n_tiles),
+            np.clip(np.floor((centre + half) / TILE).astype(np.int64) + 1, 0, n_tiles))
+
+
+def _radius_boxes(means2d, radius, width, height):
+    """Per Gaussian, the tile columns [x0, x1) and rows [y0, y1) of the
+    square of half-width ``radius`` around its mean."""
     ntx, nty = (width + TILE - 1) // TILE, (height + TILE - 1) // TILE
-    x0 = np.clip(np.floor((means2d[:, 0] - radius) / TILE).astype(np.int64), 0, ntx)
-    x1 = np.clip(np.floor((means2d[:, 0] + radius) / TILE).astype(np.int64) + 1, 0, ntx)
-    y0 = np.clip(np.floor((means2d[:, 1] - radius) / TILE).astype(np.int64), 0, nty)
-    y1 = np.clip(np.floor((means2d[:, 1] + radius) / TILE).astype(np.int64) + 1, 0, nty)
+    return (*_tile_span(means2d[:, 0], radius, ntx), *_tile_span(means2d[:, 1], radius, nty))
+
+
+def _box_pairs(x0, x1, y0, y1, depth):
+    """(tile column, tile row, Gaussian) of every tile of each Gaussian's
+    box [x0, x1) x [y0, y1), the Gaussians taken in (depth, index) order.
+    [P] each. Each Gaussian is repeated over its rows and each row over
+    its columns, so no pair needs a division."""
     front_to_back = np.argsort(depth, kind="stable")
-    counts = (np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0))[front_to_back]
-    gauss = np.repeat(front_to_back, counts)
-    within = np.arange(gauss.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    rect_w = np.maximum(x1 - x0, 1)[gauss]
-    return x0[gauss] + within % rect_w, y0[gauss] + within // rect_w, gauss
+    x0, x1, y0, y1 = (v[front_to_back] for v in (x0, x1, y0, y1))
+    cols = np.maximum(x1 - x0, 0)
+    rows = np.where(cols > 0, np.maximum(y1 - y0, 0), 0)
+    row_of = np.repeat(np.arange(rows.size), rows)  # Gaussian (in order) of each row
+    ty = y0[row_of] + np.arange(row_of.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    row_cols = cols[row_of]
+    # a pair's column is its index less the row's first pair index, plus x0
+    tx = np.arange(row_cols.sum()) + np.repeat(x0[row_of] - (np.cumsum(row_cols) - row_cols), row_cols)
+    return tx, np.repeat(ty, row_cols), np.repeat(front_to_back[row_of], row_cols)
 
 
 def _by_tile(tx, ty, gauss, width, height):
@@ -153,10 +175,32 @@ def _by_tile(tx, ty, gauss, width, height):
 
 
 def bin_gaussians(means2d, radius, depth, width, height):
-    """``tile_pairs`` without its cull: (tile_of_pair, gauss_of_pair) of
-    every radius-square pair, grouped by tile and ordered front to back,
-    ties broken by index."""
-    return _by_tile(*_radius_pairs(means2d, radius, depth, width, height), width, height)
+    """``tile_pairs`` without its cull, over the radius squares:
+    (tile_of_pair, gauss_of_pair) of every tile of each Gaussian's
+    radius square, grouped by tile and ordered front to back, ties broken
+    by index."""
+    return _by_tile(*_box_pairs(*_radius_boxes(means2d, radius, width, height), depth), width, height)
+
+
+def _ellipse_boxes(means2d, conic, radius, width, height):
+    """``_radius_boxes`` cut to the box of each Gaussian's 3-sigma ellipse,
+    widened for the cull's 1e-6 margin and its rounding. Where that box
+    is not finite, or the conic is too ill-conditioned for the cull's
+    rounding to be bounded (det < 1e-6 a c, a condition number above
+    about 4e6), the radius square is kept."""
+    x0, x1, y0, y1 = _radius_boxes(means2d, radius, width, height)
+    ntx, nty = (width + TILE - 1) // TILE, (height + TILE - 1) // TILE
+    a, b, c = (np.asarray(col, np.float64) for col in np.asarray(conic).T)
+    with np.errstate(all="ignore"):
+        det = a * c - b * b
+        scale = CUTOFF_SIGMA_SQ * (1.0 + 1e-4) / det
+        hx, hy = np.sqrt(c * scale), np.sqrt(a * scale)  # 3 sigma along x and y
+        ok = (det > 1e-6 * a * c) & np.isfinite(hx) & np.isfinite(hy)
+    means64 = np.asarray(means2d, np.float64)
+    ex0, ex1 = _tile_span(means64[:, 0], np.where(ok, hx, 0.0), ntx)
+    ey0, ey1 = _tile_span(means64[:, 1], np.where(ok, hy, 0.0), nty)
+    return (np.where(ok, np.maximum(x0, ex0), x0), np.where(ok, np.minimum(x1, ex1), x1),
+            np.where(ok, np.maximum(y0, ey0), y0), np.where(ok, np.minimum(y1, ey1), y1))
 
 
 def _edge_min(a, b, c, d, lo, hi):
@@ -169,8 +213,10 @@ def _edge_min(a, b, c, d, lo, hi):
 def tile_pairs(means2d, conic, radius, depth, width, height):
     """The (tile -> gaussian) pair lists ``composite`` walks: the pairs of
     ``bin_gaussians`` that can reach a pixel centre of their tile, in the
-    same order. The cull runs on the expanded pairs before the tile sort,
-    so only the survivors are sorted.
+    same order. Each Gaussian's pairs are expanded over the box of its
+    3-sigma ellipse within its radius square (``_ellipse_boxes``), which
+    holds every pair the cull keeps, and the cull runs on them before the
+    tile sort, so only the survivors are sorted.
 
     A pair is kept iff the minimum of the Mahalanobis^2 over the box of
     the tile's pixel centres is within the 3-sigma cutoff. That minimum
@@ -182,7 +228,7 @@ def tile_pairs(means2d, conic, radius, depth, width, height):
     margin covers the rounding of the tile-local exponent (about 1e-13),
     so every dropped pair has weight 0 at every pixel of its tile.
     """
-    tx, ty, gauss = _radius_pairs(means2d, radius, depth, width, height)
+    tx, ty, gauss = _box_pairs(*_ellipse_boxes(means2d, conic, radius, width, height), depth)
     # per pair, each input column gathered from a contiguous copy of it
     mx, my, a, b, c = (np.ascontiguousarray(col, np.float64)[gauss]
                        for col in (*np.asarray(means2d).T, *np.asarray(conic).T))
@@ -260,21 +306,24 @@ def composite(
             run[0] = trans[alive]
             np.subtract(1.0, w, out=run[1:])
             np.multiply.accumulate(run, axis=0, out=run)
-            t_excl = run[:-1]
-            acc[:, alive] += val_ext[ids].T @ np.multiply(w, t_excl, out=None if keep_cache else w)
+            wt = np.multiply(w, run[:-1], out=None if keep_cache else w)
+            acc[:, alive] += val_ext[ids].T @ wt
             trans[alive] = run[-1]
             if keep_cache:
-                chunks.append((ids, alive, w, t_excl))
+                chunks.append((ids, alive, w, wt))
             alive = alive[run[-1] * v_max > STOP_BOUND]
         out[y0 : y0 + h_px, x0 : x0 + w_px] = acc.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0)
         return (x0, y0, chunks) if keep_cache else None
 
-    idxs = range(len(starts))
     if threads > 1:
+        # one contiguous span of tiles per worker, cut where the running
+        # pair count passes each equal share (a span may be empty)
+        cuts = np.searchsorted(ends, tile_of.size * np.arange(1, threads) / threads)
+        spans = np.split(np.arange(len(starts)), cuts)
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_tile, idxs))
+            results = [r for span in ex.map(lambda span: [run_tile(k) for k in span], spans) for r in span]
     else:
-        results = [run_tile(k) for k in idxs]
+        results = [run_tile(k) for k in range(len(starts))]
     if keep_cache:
         cache.tiles = results
     return out.astype(out_dtype), cache
@@ -306,30 +355,27 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             .transpose(2, 0, 1)
             .reshape(n_values + 1, -1)
         )  # [C+1, npx]
-        later = np.zeros(w_px * h_px)  # per pixel: sum of contrib * p over later chunks
-        for ids, alive, w, t_excl in reversed(chunks):
+        later = np.zeros(w_px * h_px)  # per pixel: sum of w T P over later chunks
+        for ids, alive, w, wt in reversed(chunks):
             g = g_tile[:, alive]
-            contrib = w * t_excl
 
-            # channel-value gradients: dL/dv_ic = sum_px g_c * contrib_i
-            d_values[ids] += contrib @ g[:n_values].T
+            # channel-value gradients: dL/dv_ic = sum_px g_c * w_i T_i
+            d_values[ids] += wt @ g[:n_values].T
 
-            # weight gradients: dL/dw_i = P_i T_i - S_i / (1 - w_i), S_i the
-            # strict suffix sum of contrib * P; the later chunks' sum heads
+            # dL/dw_i * w_i = m_i - S_i w_i / (1 - w_i) with m = w T P and
+            # S_i the strict suffix sum of m; the later chunks' sum heads
             # the running sum, which then rounds as one over the whole list
-            p = val_ext[ids] @ g  # [n_i, alive]
-            m = np.multiply(contrib, p, out=contrib)
+            m = val_ext[ids] @ g  # P [n_i, alive]
+            m *= wt
             run = np.empty((ids.size + 1, alive.size))
             run[0] = later[alive]
             run[1:] = m[::-1]
             np.cumsum(run, axis=0, out=run)
             later[alive] = run[-1]
-            suffix = run[:0:-1]
-            suffix -= m
-            suffix /= 1.0 - w
-            p *= t_excl
-            p -= suffix  # dL/dw
-            dww = np.multiply(p, w, out=p)  # dL/dw * w, zero wherever w is
+            q = np.subtract(1.0, w)
+            np.divide(w, q, out=q)
+            q *= run[-2::-1]  # S, row i holding the sum over rows after i
+            dww = np.subtract(m, q, out=m)  # zero wherever w is
             if clamped:
                 dww[w >= W_MAX] = 0.0  # clamp boundary
 

@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValidationError("batch size must be positive")
         if not 0 < self.tau < np.inf:
             raise ValidationError("tau must be finite and positive")
+        if self.threads < 1:
+            raise ValidationError("threads must be at least 1")
         self.weights.validate()
 
 

@@ -185,6 +185,19 @@ def test_gen_rig_rejects_negative_expressions(tmp_path, capsys):
     assert not (tmp_path / "r.tpl").exists()
 
 
+@pytest.mark.parametrize("cmd", ["bake", "finetune", "render", "animate", "bench"])
+def test_negative_threads_rejected_naming_the_flag(workdir, tmp_path, cmd, capsys):
+    inputs = ["--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx")]
+    argv = {"bake": inputs + ["--out", str(tmp_path / "o.stu")],
+            "finetune": inputs + ["--bundle", str(tmp_path / "b.stu"), "--out", str(tmp_path / "o.stu")],
+            "render": inputs + ["--out", str(tmp_path / "o.ppm")],
+            "animate": inputs + ["--out-dir", str(tmp_path / "frames")],
+            "bench": ["--gaussians", "100", "--res", "32x32", "--frames", "1"]}[cmd]
+    assert run([cmd, *argv, "--threads", "-2"]) == 3
+    assert "--threads" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_preflight_reports_every_suite(capsys):
     assert run(["preflight"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -258,7 +258,7 @@ def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, c
     monkeypatch.setattr(tiles, "CHUNK", chunk)
     rng = np.random.default_rng(11)
     wg = _random_cloud(rng, 80)
-    cam = _front_camera(res=(96, 80))
+    cam = _front_camera(res=(6 * tiles.TILE, 5 * tiles.TILE))  # whole tiles, for _dense_evals
     args = _composite_args(wg, cam)
     evals = _count_weight_evals(monkeypatch)
     _assert_equals_reference_where_no_pixel_stops(args, rng)
@@ -314,12 +314,12 @@ def test_tile_local_form_matches_reference_on_cancellation_cases(case):
 
 def _tangent_args(offset):
     """One Gaussian on a 32x32 image whose 3-sigma ellipse passes ``offset``
-    px beyond the pixel centre (15.5, 15.5), the corner of tile 0's
-    pixel-centre box nearest to it (inside the ellipse for a negative
-    offset). Its short axis (sigma 2) points along the diagonal at 45
-    degrees, so that corner is where the box comes closest."""
+    px beyond the pixel centre (TILE - 0.5, TILE - 0.5), the corner of
+    tile 0's pixel-centre box nearest to it (inside the ellipse for a
+    negative offset). Its short axis (sigma 2) points along the diagonal
+    at 45 degrees, so that corner is where the box comes closest."""
     conic, radius = _conics_2d(np.array([[2.0, 4.0]]), np.array([np.pi / 4]))
-    means2d = 15.5 + (6.0 + offset) / np.sqrt(2.0) * np.ones((1, 2))
+    means2d = tiles.TILE - 0.5 + (6.0 + offset) / np.sqrt(2.0) * np.ones((1, 2))
     return means2d, conic, np.array([0.5]), np.array([[0.2, 0.4, 0.6]]), np.zeros(1), radius, 32, 32
 
 
@@ -365,16 +365,42 @@ def test_culled_pairs_have_zero_weight_over_their_tile(scene, request):
         assert (0, 0) in dropped
 
 
-@pytest.mark.parametrize("res", [(90, 70), (333, 290)])  # 48 and 399 tiles
-@pytest.mark.parametrize("n", [0, 1, 40, 300])
-def test_pair_lists_equal_reference_binning_and_cull(n, res):
+def _tight_box_cases(width, height):
+    """(means2d, conic, radius) of Gaussians that test the ellipse box
+    ``tile_pairs`` expands: thin axis-aligned and diagonal ellipses, means
+    exactly on tile edges, and two conics whose box is not finite, one
+    degenerate (det 0: the box is inf) and one indefinite (NaN)."""
+    t = float(tiles.TILE)
+    sigmas = np.array([[np.sqrt(EIG_FLOOR), 20.0], [25.0, np.sqrt(EIG_FLOOR)], [np.sqrt(EIG_FLOOR), 30.0],
+                       [0.8, 12.0], [3.0, 3.0], [2.0, 9.0], [np.sqrt(EIG_FLOOR), 6.0], [1.0, 1.0]])
+    angles = np.array([0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4, 0.0, 0.3, np.pi / 4, 0.0])
+    conic, radius = _conics_2d(sigmas, angles)
+    means2d = np.array([[width / 2, height / 2], [width / 3, height / 2], [2 * t, 2 * t],
+                        [3 * t + 0.5, height / 2], [t, 3 * t], [4 * t, t - 0.5],
+                        [width - 2.0, height - 2.0], [2 * t, 2 * t]])
+    conic = np.concatenate([conic, [[4.0, 2.0, 1.0], [1.0, 1.5, 1.0]]])
+    radius = np.concatenate([radius, [15.0, 20.0]])
+    means2d = np.concatenate([means2d, [[3 * t, 2 * t], [width / 2 + 0.25, height / 2]]])
+    return means2d, conic, radius
+
+
+@pytest.mark.parametrize("res", [(90, 70), (333, 290)])  # 48 and 700 tiles at TILE 12
+@pytest.mark.parametrize("cloud", [0, 1, 40, 300, "tight_box"])
+def test_pair_lists_equal_reference_binning_and_cull(cloud, res):
     """``bin_gaussians`` is the oracle's lexsorted radius-square binning, and
     ``tile_pairs`` that binning after the oracle's cull, array for array:
-    means up to 40 px off-screen, partial edge tiles, tied depth keys."""
-    rng = np.random.default_rng(100 + n)
+    means up to 40 px off-screen, partial edge tiles, tied depth keys, and
+    (``tight_box``) the ellipse boxes' edge cases."""
     width, height = res
-    means2d = rng.uniform(-40.0, (width + 40.0, height + 40.0), size=(n, 2))
-    conic, radius = _conics_2d(rng.uniform(1.0, 30.0, (n, 2)), rng.uniform(0.0, np.pi, n))
+    if cloud == "tight_box":
+        rng = np.random.default_rng(99)
+        means2d, conic, radius = _tight_box_cases(width, height)
+        n = len(radius)
+    else:
+        n = cloud
+        rng = np.random.default_rng(100 + n)
+        means2d = rng.uniform(-40.0, (width + 40.0, height + 40.0), size=(n, 2))
+        conic, radius = _conics_2d(rng.uniform(1.0, 30.0, (n, 2)), rng.uniform(0.0, np.pi, n))
     u16 = splat.quantized_depth_keys(rng.choice([1.0, 1.5, 2.0], n), 0.1, 20.0)
     for key, dtype in ((u16, np.float32), (rng.random(n).astype(np.float32), np.float64)):
         args = means2d.astype(dtype), conic.astype(dtype), radius.astype(dtype), key
@@ -384,11 +410,20 @@ def test_pair_lists_equal_reference_binning_and_cull(n, res):
         want = reference_cull(*want, args[0], args[1], width, height)
         got = tiles.tile_pairs(*args, width, height)
         assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
-    if n == 300:  # the scene has ties, pairs off-screen means bring, and culled pairs
+    if cloud == 300:  # the scene has ties, pairs off-screen means bring, and culled pairs
         assert np.unique(u16).size == 3
         off = (means2d < 0).any(axis=1) | (means2d >= res).any(axis=1)
         assert np.isin(want[1], np.nonzero(off)[0]).any()
         assert want[0].size < radius_square_pairs(means2d, radius, u16, width, height)[0].size
+    if cloud == "tight_box":
+        # the thin axis-aligned boxes are tighter than their squares, and the
+        # non-finite boxes fell back to the squares, whose pairs the cull keeps
+        def tiles_in(x0, x1, y0, y1):
+            return (x1 - x0) * (y1 - y0)
+        boxes = tiles_in(*tiles._ellipse_boxes(means2d, conic, radius, width, height))
+        squares = tiles_in(*tiles._radius_boxes(means2d, radius, width, height))
+        assert (boxes <= squares).all() and (boxes[:2] < squares[:2]).all()
+        assert (boxes[-2:] == squares[-2:]).all() and np.isin([n - 2, n - 1], want[1]).all()
 
 
 def test_composite_without_cache_equals_with_cache(clothed_rig, clothed_texture):
@@ -433,15 +468,17 @@ def test_backward_clamp_mask_skipped_only_where_it_changes_nothing(monkeypatch, 
         masked = splat.composite_backward(splat.composite(*args, keep_cache=True)[1], d_out)
     assert all(np.array_equal(a, b) for a, b in zip(skipped, masked))
 
-    # one opaque Gaussian, mean on a pixel centre: d_out only on the pixels
-    # whose weight is clamped reaches the value, never the opacity or mean
-    one = (np.array([[8.5, 8.5]]), np.array([[1e-3, 0.0, 1e-3]]), np.array([1.0]),
-           np.array([[0.5]]), np.array([1.0]), np.array([95.0]), 16, 16)
+    # one opaque Gaussian on a one-tile image, mean on a pixel centre:
+    # d_out only on the pixels whose weight is clamped reaches the value,
+    # never the opacity or mean
+    side, centre = tiles.TILE, tiles.TILE / 2 + 0.5
+    one = (np.array([[centre, centre]]), np.array([[1e-3, 0.0, 1e-3]]), np.array([1.0]),
+           np.array([[0.5]]), np.array([1.0]), np.array([95.0]), side, side)
     _, cache = splat.composite(*one, keep_cache=True)
     (_, _, [(_, alive, w, _)]), = cache.tiles
     clamped = alive[w[0] >= tiles.W_MAX]
     assert 0 < clamped.size < alive.size
-    d_out = np.zeros((16, 16, 2))
+    d_out = np.zeros((side, side, 2))
     d_out.reshape(-1, 2)[clamped] = 1.0
     d_values, d_opacity, d_means = splat.composite_backward(cache, d_out)
     assert d_values[0, 0] > 0.0 and d_opacity[0] == 0.0 and not d_means.any()
@@ -1054,3 +1091,27 @@ def test_render_deterministic():
     b = splat.render(wg, cam, channels=("color", "alpha", "normal", "semantic"))
     assert np.array_equal(a.color, b.color)
     assert np.array_equal(a.semantic, b.semantic)
+
+
+@pytest.mark.parametrize("scene", ["one_tile", "empty_view"])
+def test_thread_spans_match_single_thread(scene):
+    """Each worker runs one contiguous span of tiles; images and gradients
+    are bit-identical at 1, 2 and 3 threads, also where a worker gets an
+    empty span (one tile) or there is no tile at all (every Gaussian
+    off-screen)."""
+    rng = np.random.default_rng(21)
+    n = 12
+    means2d = rng.uniform(0.0, tiles.TILE, (n, 2))
+    if scene == "empty_view":
+        means2d += 10.0 * tiles.TILE
+    conic, radius = _conics_2d(rng.uniform(1.0, 4.0, (n, 2)), rng.uniform(0.0, np.pi, n))
+    args = (means2d, conic, rng.uniform(0.2, 0.9, n), rng.random((n, 3)), rng.random(n), radius,
+            tiles.TILE, tiles.TILE)
+    g = rng.normal(size=(tiles.TILE, tiles.TILE, 4))
+    outs = []
+    for threads in (1, 2, 3):
+        image, cache = splat.composite(*args, keep_cache=True, threads=threads)
+        outs.append((image, *splat.composite_backward(cache, g)))
+        assert len(cache.tiles) == (scene == "one_tile")
+    assert all(np.array_equal(a, b) for out in outs[1:] for a, b in zip(outs[0], out))
+    assert (np.abs(outs[0][0]).max() > 0) == (scene == "one_tile")

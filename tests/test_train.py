@@ -634,6 +634,9 @@ def test_loss_weights_validation():
         train.LossWeights(ssim=-0.1).validate()
     with pytest.raises(assets.ValidationError):
         train.TrainConfig(iterations=0).validate()
+    for threads in (0, -2):
+        with pytest.raises(assets.ValidationError, match="threads"):
+            train.TrainConfig(threads=threads).validate()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
