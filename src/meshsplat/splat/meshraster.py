@@ -2,10 +2,12 @@
 interpolation, used for the canonical front/back deformation maps and for
 mesh renders under a scene camera.
 
-The rasterizer is one vectorized pass with no per-triangle loop. The
-(face, pixel) pairs of every face's clipped pixel bbox are expanded with
-repeat/cumsum indexing, as tile binning does. Each pair's pixel centre is
-tested with Pineda's edge functions ("A Parallel Algorithm for Polygon
+The rasterizer is one vectorized pass with no per-triangle loop. Each
+face is tested over the pixel centres of its vertex bounding box, widened
+by a margin that covers the inside test's tolerance and rounding (see
+``_rasterize``); its (face, pixel) pairs are expanded with repeat/cumsum
+indexing, as tile binning does. Each pair's pixel centre is tested with
+Pineda's edge functions ("A Parallel Algorithm for Polygon
 Rasterization", SIGGRAPH 1988), which also give its barycentric weights
 and interpolated depth. The z-buffer is two scatter-minimums per pixel:
 the least depth, then the lowest face index among the pairs at that
@@ -14,14 +16,17 @@ triangle at a time in index order with a strict ``<`` depth test.
 
 Interpolation uses screen-space barycentric weights, so for a fixed mesh
 every output pixel is an exact fixed linear combination of three vertex
-attributes; the returned cache exposes that sparse structure.
+attributes. The returned cache holds that structure as two sparse
+matrices, one per direction, built once and applied as CSR products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from ..assets import Camera, DeformationMap, ValidationError
 from .projection import camera_project
@@ -32,7 +37,17 @@ _CHUNK_PAIRS = 1 << 17  # (face, pixel) pairs evaluated at once; bounds scratch 
 
 @dataclass
 class RasterCache:
-    """Per-pixel linear structure: value(px) = sum_k weight_k * attr[vidx_k]."""
+    """Per-pixel linear structure: value(px) = sum_k weight_k * attr[vidx_k].
+
+    The covered pixels are distinct and in row-major order. ``apply`` and
+    ``backward`` are products with the [H*W, V] matrix of this structure
+    and with its transpose, both in CSR form and built on first use. A
+    CSR row sums its entries from 0.0 in stored order, so the forward
+    rows keep the corners in order k = 0, 1, 2 (the order of the weighted
+    sum) and each transposed row keeps its vertex's entries in (corner,
+    pixel) order: the summation order of three ``np.add.at`` scatters,
+    one per corner.
+    """
 
     pix_rows: np.ndarray   # [P] row of each covered pixel
     pix_cols: np.ndarray   # [P]
@@ -42,29 +57,46 @@ class RasterCache:
     width: int
     n_verts: int
 
+    @cached_property
+    def _pix(self) -> np.ndarray:
+        return self.pix_rows * self.width + self.pix_cols
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """[H, W] coverage, read-only: every ``apply`` returns this array."""
+        mask = np.zeros(self.height * self.width, dtype=bool)
+        mask[self._pix] = True
+        mask.flags.writeable = False
+        return mask.reshape(self.height, self.width)
+
+    @cached_property
+    def _forward(self) -> sparse.csr_matrix:
+        counts = np.zeros(self.height * self.width, dtype=np.int64)
+        counts[self._pix] = 3
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return sparse.csr_matrix((self.weights.ravel(), self.vidx.ravel(), indptr),
+                                 shape=(self.height * self.width, self.n_verts))
+
+    @cached_property
+    def _transpose(self) -> sparse.csr_matrix:
+        corner_major = self.vidx.T.ravel()
+        order = np.argsort(corner_major, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(corner_major, minlength=self.n_verts))])
+        return sparse.csr_matrix((self.weights.T.ravel()[order], np.tile(self._pix, 3)[order], indptr),
+                                 shape=(self.n_verts, self.height * self.width))
+
     def apply(self, attrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolate [V,3] attributes to an image + coverage mask."""
-        img = np.zeros((self.height, self.width, attrs.shape[1]), dtype=np.float32)
-        vals = np.einsum("pk,pkc->pc", self.weights, attrs.astype(np.float64)[self.vidx])
-        img[self.pix_rows, self.pix_cols] = vals.astype(np.float32)
-        mask = np.zeros((self.height, self.width), dtype=bool)
-        mask[self.pix_rows, self.pix_cols] = True
-        return img, mask
+        """Interpolate [V,C] attributes to an [H,W,C] image in their own
+        precision (float32 at least; summed in float64) and the coverage
+        mask."""
+        vals = self._forward @ attrs.astype(np.float64)
+        img = vals.reshape(self.height, self.width, -1)
+        return img.astype(np.promote_types(attrs.dtype, np.float32), copy=False), self.mask
 
     def backward(self, d_img: np.ndarray) -> np.ndarray:
-        """Scatter image gradients back to vertex attributes.
-
-        One bincount per channel over the corners in order k = 0, 1, 2,
-        each over the pixels in order: the summation order of three
-        ``np.add.at`` scatters, one per corner.
-        """
-        g = d_img.astype(np.float64)[self.pix_rows, self.pix_cols]  # [P,C]
-        idx = self.vidx.T.ravel()
-        contrib = (g.T[:, None, :] * self.weights.T[None]).reshape(g.shape[1], -1)  # [C, 3P]
-        d_attrs = np.zeros((self.n_verts, g.shape[1]))
-        for c in range(g.shape[1]):
-            d_attrs[:, c] = np.bincount(idx, contrib[c], minlength=self.n_verts)
-        return d_attrs
+        """Scatter [H,W,C] image gradients back to [V,C] float64 vertex
+        attribute gradients."""
+        return self._transpose @ d_img.reshape(self.height * self.width, -1).astype(np.float64)
 
 
 def _check_finite(verts: np.ndarray) -> None:
@@ -89,8 +121,23 @@ def _nearest_per_pixel(pix: np.ndarray, zi: np.ndarray, face: np.ndarray, n_pix:
 
 
 def _rasterize(pts2d: np.ndarray, z: np.ndarray, faces: np.ndarray, width: int, height: int) -> RasterCache:
-    """Edge-function test of each face's clipped pixel bbox, then a
-    per-pixel z-buffer; z smaller = closer. Pixel centers at +0.5."""
+    """Edge-function test of each face's pixel box, then a per-pixel
+    z-buffer; z smaller = closer. Pixel centers at +0.5.
+
+    A face's box holds the pixel centres within m = 1e-4 + 1e-6 * e px of
+    its vertex bbox, e the bbox's larger side. A centre that passes the
+    inside test (every barycentric >= -1e-9 as computed) has exact
+    barycentrics >= -(1e-9 + r), r their rounding, so it lies in the
+    triangle grown about its centroid by at most 2 (1e-9 + r) e per axis.
+    At distance d beyond the bbox, r is a small multiple of
+    2^-53 (e + d)^2 / |denom|. For |denom| >= 1e-3 e^2 (and e >= 7e-7 px,
+    which |denom| >= 1e-12 implies) that growth stays far below d for
+    every d >= m below the 1 px the loop's box reaches, so no centre
+    outside the box can pass. A face under that bound (a sliver) keeps
+    the loop's box, floor(min - 0.5) .. ceil(max + 0.5), and every box is
+    cut to the loop's box, which bounds far-off faces, whose margin is
+    huge.
+    """
     tris = faces.astype(np.int64)
     p = pts2d.astype(np.float64)
     z = z.astype(np.float64)
@@ -99,12 +146,16 @@ def _rasterize(pts2d: np.ndarray, z: np.ndarray, faces: np.ndarray, width: int, 
     cx, cy = p[tris[:, 2], 0], p[tris[:, 2], 1]
     za, zb, zc = z[tris[:, 0]], z[tris[:, 1]], z[tris[:, 2]]
     denom = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    xmin, xmax = np.minimum(np.minimum(ax, bx), cx), np.maximum(np.maximum(ax, bx), cx)
+    ymin, ymax = np.minimum(np.minimum(ay, by), cy), np.maximum(np.maximum(ay, by), cy)
+    ext = np.maximum(xmax - xmin, ymax - ymin)
+    margin = np.where(np.abs(denom) >= 1e-3 * ext * ext, 1e-4 + 1e-6 * ext, np.inf)
     # clipped in float before the integer cast, so far-off vertices
     # cannot overflow it
-    x0 = np.clip(np.floor(np.minimum(np.minimum(ax, bx), cx) - 0.5), 0, width).astype(np.int64)
-    x1 = np.clip(np.ceil(np.maximum(np.maximum(ax, bx), cx) + 0.5), -1, width - 1).astype(np.int64)
-    y0 = np.clip(np.floor(np.minimum(np.minimum(ay, by), cy) - 0.5), 0, height).astype(np.int64)
-    y1 = np.clip(np.ceil(np.maximum(np.maximum(ay, by), cy) + 0.5), -1, height - 1).astype(np.int64)
+    x0 = np.clip(np.maximum(np.floor(xmin - 0.5), np.ceil(xmin - margin - 0.5)), 0, width).astype(np.int64)
+    x1 = np.clip(np.minimum(np.ceil(xmax + 0.5), np.floor(xmax + margin - 0.5)), -1, width - 1).astype(np.int64)
+    y0 = np.clip(np.maximum(np.floor(ymin - 0.5), np.ceil(ymin - margin - 0.5)), 0, height).astype(np.int64)
+    y1 = np.clip(np.minimum(np.ceil(ymax + 0.5), np.floor(ymax + margin - 0.5)), -1, height - 1).astype(np.int64)
     live = np.nonzero((np.abs(denom) >= 1e-12) & (x1 >= x0) & (y1 >= y0))[0]
     nx = (x1 - x0 + 1)[live]
     counts = nx * (y1 - y0 + 1)[live]
@@ -112,8 +163,8 @@ def _rasterize(pts2d: np.ndarray, z: np.ndarray, faces: np.ndarray, width: int, 
     starts = ends - counts
     total = int(ends[-1]) if live.size else 0
 
-    # The (face, bbox pixel) pairs, face by face and row-major inside a
-    # bbox, are numbered 0..total-1 and evaluated _CHUNK_PAIRS at a time.
+    # The (face, box pixel) pairs, face by face and row-major inside a
+    # box, are numbered 0..total-1 and evaluated _CHUNK_PAIRS at a time.
     # Each chunk keeps its nearest pair per pixel; the chunks' winners
     # are resolved again at the end under the same rule. The empty first
     # entry gives a mesh with no pairs an empty cache of the same dtypes.
@@ -218,10 +269,12 @@ def map_caches(
 
 def apply_map_caches(front: RasterCache, back: RasterCache, bounds: np.ndarray,
                      attrs: np.ndarray) -> DeformationMap:
-    """Interpolate a per-vertex 3-vector field to both canonical map sides."""
+    """Interpolate a per-vertex 3-vector field to both canonical map sides
+    (float32 maps, summed in float64)."""
     fimg, fmask = front.apply(attrs)
     bimg, bmask = back.apply(attrs)
-    return DeformationMap(front=fimg, back=bimg, front_mask=fmask, back_mask=bmask, bounds=bounds)
+    return DeformationMap(front=fimg.astype(np.float32, copy=False), back=bimg.astype(np.float32, copy=False),
+                          front_mask=fmask, back_mask=bmask, bounds=bounds)
 
 
 def rasterize_mesh_camera(
@@ -230,7 +283,8 @@ def rasterize_mesh_camera(
     attrs: np.ndarray,
     camera: Camera,
 ) -> tuple[np.ndarray, np.ndarray, RasterCache]:
-    """Mesh attribute render under a scene camera (z-buffered).
+    """Mesh attribute render under a scene camera (z-buffered), in the
+    attributes' precision (float32 at least).
 
     Vertices are projected by ``projection.camera_project``, as the
     splatter's Gaussian means are; a face with any vertex at or behind

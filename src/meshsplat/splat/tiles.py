@@ -335,16 +335,20 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
 
     ``d_out`` is [H, W, C+1] including the alpha channel. Covariance, the
     compositing order and the pixels' stopping points are treated as
-    constants.
+    constants. Each chunk leaves one row per Gaussian (its value
+    gradients and its moments over [1, u, v]); after the tile loop one
+    ``bincount`` per output column sums the rows in (tile, back-to-front
+    chunk) order, the order of a per-chunk scatter-add.
     """
     n, n_values = cache.values.shape
-    d_values = np.zeros((n, n_values))
-    d_opacity = np.zeros(n)
-    d_means = np.zeros((n, 2))
     means64, conic64 = cache.means2d, cache.conic
     op64 = np.maximum(cache.opacity, 1e-12)
     val_ext = np.concatenate([cache.values, np.ones((n, 1))], axis=1)
     clamped = _may_clamp(cache.opacity)  # else no weight reached W_MAX
+    # per chunk: its Gaussians, their value-gradient and moment rows and
+    # its tile's origin, after an empty entry that serves an empty cache
+    rows_ids, rows_val = [np.empty(0, np.int64)], [np.empty((0, n_values))]
+    rows_mom, rows_origin = [np.empty((0, 3))], [np.empty((0, 2))]
 
     for (x0, y0, chunks) in cache.tiles:
         w_px, h_px = min(TILE, cache.width - x0), min(TILE, cache.height - y0)
@@ -360,7 +364,7 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             g = g_tile[:, alive]
 
             # channel-value gradients: dL/dv_ic = sum_px g_c * w_i T_i
-            d_values[ids] += wt @ g[:n_values].T
+            rows_val.append(wt @ g[:n_values].T)
 
             # dL/dw_i * w_i = m_i - S_i w_i / (1 - w_i) with m = w T P and
             # S_i the strict suffix sum of m; the later chunks' sum heads
@@ -382,11 +386,15 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             # w = op exp(K F), so dL/dop = sum_px dww / op and dL/dmean =
             # conic (x - mean) summed against dww: both from the moments of
             # dww over the tile-local pixel coordinates [1, u, v]
-            mom = dww @ feats[:, alive].T  # [n_i, 3]
-            d_opacity[ids] += mom[:, 0] / op64[ids]
-            r = mom[:, 1:] - _tile_offsets(means64[ids], x0, y0) * mom[:, :1]
-            cn = conic64[ids]
-            d_means[ids, 0] += cn[:, 0] * r[:, 0] + cn[:, 1] * r[:, 1]
-            d_means[ids, 1] += cn[:, 1] * r[:, 0] + cn[:, 2] * r[:, 1]
+            rows_mom.append(dww @ feats[:, alive].T)  # [n_i, 3]
+            rows_ids.append(ids)
+            rows_origin.append(np.broadcast_to([x0, y0], (ids.size, 2)))
 
-    return d_values, d_opacity, d_means
+    ids, mom = np.concatenate(rows_ids), np.concatenate(rows_mom)
+    origin = np.concatenate(rows_origin)
+    r = mom[:, 1:] - _tile_offsets(means64[ids], origin[:, 0], origin[:, 1]) * mom[:, :1]
+    cn = conic64[ids]
+    columns = [*np.concatenate(rows_val).T, mom[:, 0] / op64[ids],
+               cn[:, 0] * r[:, 0] + cn[:, 1] * r[:, 1], cn[:, 1] * r[:, 0] + cn[:, 2] * r[:, 1]]
+    d = np.stack([np.bincount(ids, col, minlength=n) for col in columns], axis=1)
+    return d[:, :n_values], d[:, n_values], d[:, n_values + 1:]

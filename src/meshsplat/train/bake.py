@@ -161,8 +161,9 @@ def _flatten_nets(nets):
 def _optimize(opt: Adam, config: TrainConfig, n_frames: int, frame_loss, snapshot):
     """The step loop both stages share. Step ``it`` sums the gradients of
     frames ``(it * batch_size + bi) % n_frames`` and records each term
-    averaged over the batch. ``frame_loss(t)`` returns the frame's scalar
-    loss tensor and its logged terms as floats; ``snapshot()`` returns
+    averaged over the batch, and each parameter group's gradient and
+    update norms (``Adam.norms``). ``frame_loss(t)`` returns the frame's
+    scalar loss tensor and its logged terms as floats; ``snapshot()`` returns
     ``(bundle, texture)``, and the last one taken every
     ``CHECKPOINT_EVERY`` steps rides on ``TrainingDiverged``.
     Returns ``(bundle, texture, history)``."""
@@ -182,6 +183,7 @@ def _optimize(opt: Adam, config: TrainConfig, n_frames: int, frame_loss, snapsho
                 rec[key] += value / config.batch_size
             rec["total"] += total / config.batch_size
         opt.step()
+        rec.update(opt.norms)
         rec["wall_ms"] = (time.perf_counter() - t0) * 1000.0
         history.append(rec)
         if (it + 1) % CHECKPOINT_EVERY == 0:
@@ -223,14 +225,10 @@ def bake(
             raise ValidationError(
                 f"teacher frame {t}: map resolution {tf.dmap.front.shape[:2]} != config {config.map_resolution}"
             )
-    student_front_mask = np.zeros((front_cache.height, front_cache.width), dtype=bool)
-    student_front_mask[front_cache.pix_rows, front_cache.pix_cols] = True
-    student_back_mask = np.zeros((back_cache.height, back_cache.width), dtype=bool)
-    student_back_mask[back_cache.pix_rows, back_cache.pix_cols] = True
     disagreeing = [
         t for t, tf in enumerate(teacher.frames)
-        if max(losses.mask_disagreement(student_front_mask, tf.dmap.front_mask),
-               losses.mask_disagreement(student_back_mask, tf.dmap.back_mask)) > 0.2
+        if max(losses.mask_disagreement(front_cache.mask, tf.dmap.front_mask),
+               losses.mask_disagreement(back_cache.mask, tf.dmap.back_mask)) > 0.2
     ]
 
     sem_labels = ops.semantic_label(template, config.tau)
@@ -448,7 +446,7 @@ def evaluate_nonrigid(
     total = 0.0
     for t, frame in enumerate(sequence.frames):
         novel = FrameInput(frame.theta, frame.epsilon, frame.root, bundle.z_table[0])
-        delta = deform.student_deform(bundle, template, novel).astype(np.float64)
+        delta = deform.student_deform(bundle, template, novel)
         sf, _ = front_cache.apply(delta)
         sb, _ = back_cache.apply(delta)
         tf = teacher.frames[t]

@@ -32,8 +32,7 @@ class MeshMapApply(Function):
 
     def forward(self, attrs, cache=None):
         self.cache = cache
-        img, _ = cache.apply(attrs)
-        return img.astype(attrs.dtype)
+        return cache.apply(attrs)[0]
 
     def backward(self, g):
         return (self.cache.backward(g),)

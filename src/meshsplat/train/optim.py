@@ -27,6 +27,10 @@ class Adam:
     update only rows whose gradient is nonzero this step; dense Adam
     would keep pushing every row from stale momentum, multiplying each
     row's few visits several-fold.
+
+    Each ``step`` leaves ``norms``: per group, ``gnorm_<group>`` (the
+    gradient's L2 norm) and ``unorm_<group>`` (the Adam update's, before
+    weight decay), both summed in float64.
     """
 
     def __init__(self, groups: dict[str, list[Tensor]], lrs: dict[str, float] | None = None,
@@ -40,6 +44,7 @@ class Adam:
         self.lrs = {k: float(v) for k, v in {**DEFAULT_LRS, **(lrs or {})}.items()}
         self.weight_decay = {k: float(v) for k, v in (weight_decay or {}).items()}
         self.t = 0
+        self.norms: dict[str, float] = {}
         self.m = {}
         self.v = {}
         self.row_t = {}
@@ -60,13 +65,16 @@ class Adam:
         b1, b2 = BETA1, BETA2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
+        self.norms = {}
         for name, params in self.groups.items():
             lr = self.lrs.get(name, 1e-3)
             wd = self.weight_decay.get(name, 0.0)
+            g_sq = u_sq = 0.0
             for i, p in enumerate(params):
                 if p.grad is None:
                     continue
                 g = p.grad
+                g_sq += _sum_sq(g)
                 m = self.m[(name, i)]
                 v = self.v[(name, i)]
                 if (name, i) in self.row_t:
@@ -80,6 +88,7 @@ class Adam:
                     cr1 = (1.0 - b1 ** rt[rows]).reshape((-1,) + (1,) * (g.ndim - 1))
                     cr2 = (1.0 - b2 ** rt[rows]).reshape((-1,) + (1,) * (g.ndim - 1))
                     upd = lr * (m[rows] / cr1) / (np.sqrt(v[rows] / cr2) + EPS)
+                    u_sq += _sum_sq(upd)
                     new_rows = p.data[rows] - upd
                     if wd:
                         new_rows = new_rows * (1.0 - lr * wd)
@@ -91,6 +100,14 @@ class Adam:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * g * g
-                p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+                upd = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+                u_sq += _sum_sq(upd)
+                p.data = p.data - upd
                 if wd:
                     p.data = p.data * (1.0 - lr * wd)
+            self.norms[f"gnorm_{name}"] = float(np.sqrt(g_sq))
+            self.norms[f"unorm_{name}"] = float(np.sqrt(u_sq))
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    return float(np.square(x, dtype=np.float64).sum())

@@ -8,8 +8,11 @@ cull takes the least Mahalanobis^2 over all four edges of each pair's
 pixel-centre box; the screen covariance is built in the direct form,
 world covariance first; the SH table spells out the real basis
 polynomials with their normalization constants in closed form; the mesh
-rasterizer reference fills a z-buffer one triangle at a time. The weights of the dense references use the direct
-per-pixel exponent, not the package's tile-local quadratic form.
+rasterizer reference fills a z-buffer one triangle at a time over each
+face's loop box, and its cache is applied by a gathered einsum and
+differentiated by ``np.add.at`` scatters. The weights of the dense
+references use the direct per-pixel exponent, not the package's
+tile-local quadratic form.
 
 Also here, for the tests only: single-triangle and single-direction
 wrappers of the package's batched binding and SH functions.
@@ -275,6 +278,17 @@ def reference_rasterize(pts2d, z, faces, width, height):
     covered = fbuf[rows, cols]
     return RasterCache(pix_rows=rows, pix_cols=cols, vidx=tris[covered], weights=wbuf[rows, cols],
                        height=height, width=width, n_verts=pts2d.shape[0])
+
+
+def reference_raster_apply(cache, attrs):
+    """[H, W, C] float64 image of the cache's weighted sums, one gathered
+    einsum over (pixel, corner), and the coverage mask."""
+    img = np.zeros((cache.height, cache.width, attrs.shape[1]))
+    img[cache.pix_rows, cache.pix_cols] = np.einsum(
+        "pk,pkc->pc", cache.weights, attrs.astype(np.float64)[cache.vidx])
+    mask = np.zeros((cache.height, cache.width), dtype=bool)
+    mask[cache.pix_rows, cache.pix_cols] = True
+    return img, mask
 
 
 def reference_raster_backward(cache, d_img):

@@ -17,6 +17,7 @@ from oracles import (
     reference_composite_backward,
     reference_cov2d,
     reference_cull,
+    reference_raster_apply,
     reference_raster_backward,
     reference_rasterize,
 )
@@ -938,6 +939,115 @@ def test_rasterize_chunk_winners_merge(monkeypatch, clothed_rig, chunk):
     monkeypatch.setattr(meshraster, "_CHUNK_PAIRS", chunk)
     for args in cases:
         _assert_same_cache(meshraster._rasterize(*args), reference_rasterize(*args))
+
+
+def _hard_mesh(seed, size=24):
+    """Random faces over a ``size`` px square, built to sit on the raster
+    box's edge cases: generic and partly off-screen faces; slivers;
+    faces with |denom| just above the 1e-12 cut and on both sides of the
+    1e-3 * e^2 fallback bound; vertices exactly on pixel centres, a hair
+    (1e-12 px) off them, and exactly on the margin box's edges; far-off
+    and wholly off-screen faces. Returns (pts, z, faces, fallback), the
+    last flagging the faces built under the bound."""
+    rng = np.random.default_rng(seed)
+    tris, fallback = [], []
+
+    def sliver(height):  # base of length ext on a pixel-centre line, apex height off it
+        ext = rng.uniform(0.5, size)
+        a = rng.uniform(-2.0, size + 2.0, 2)
+        axis = int(rng.integers(2))
+        a[1 - axis] = np.floor(a[1 - axis]) + 0.5
+        b = a.copy()
+        b[axis] += ext
+        c = a.copy()
+        c[axis] += rng.uniform(0.0, 1.0) * ext
+        c[1 - axis] += height(ext) * rng.choice([-1.0, 1.0])
+        return np.stack([a, b, c]), ext
+
+    for _ in range(12):
+        tris.append(rng.uniform(-4.0, size + 4.0, (3, 2)))
+    for _ in range(8):
+        tris.append(sliver(lambda ext: 10.0 ** rng.uniform(-9, -2))[0])
+    for _ in range(6):  # |denom| = ext * height just above 1e-12
+        tris.append(sliver(lambda ext: 1e-12 * (1.0 + rng.uniform(0.01, 1.0)) / ext)[0])
+    for k in (0.99, 0.999, 1.001, 1.01) * 3:  # around |denom| = 1e-3 * ext^2
+        tris.append(sliver(lambda ext: k * 1e-3 * ext)[0])
+    for _ in range(10):  # vertices on pixel centres, or 1e-12 px off them
+        t = np.floor(rng.uniform(0.0, size, (3, 2))) + 0.5
+        t += rng.choice([0.0, 1e-12, -1e-12], size=(3, 2))
+        tris.append(t)
+    for _ in range(8):  # an axis-aligned edge a hair outside a pixel-centre line
+        x = np.floor(rng.uniform(2.0, size - 8.0)) + 0.5 + rng.choice([1e-12, -1e-12, 1e-10])
+        y0, y1 = np.sort(rng.uniform(0.0, size, 2))
+        t = np.array([[x, y0], [x, y1], [x + rng.uniform(1.0, 6.0), rng.uniform(0.0, size)]])
+        tris.append(t if rng.random() < 0.5 else t[:, ::-1].copy())
+    for _ in range(8):  # the bbox's min on the margin box's edge, then a hair either side
+        t = rng.uniform(0.0, 8.0, (3, 2))
+        ext = np.ptp(t, axis=0).max()
+        target = np.floor(rng.uniform(2.0, size - 10.0, 2)) + 0.5 - (1e-4 + 1e-6 * ext)
+        tris.append(t - t.min(axis=0) + target + rng.choice([0.0, 1e-13, -1e-13]))
+    tris.append(np.array([[-1e30, 4.0], [1e30, 5.0], [0.0, 1e30]]))
+    tris.append(np.array([[3.0, -1e6], [9.0, 1e6], [-1e6, 12.0]]))
+    tris.append(np.array([[size + 3.0, 2.0], [size + 9.0, 5.0], [size + 4.0, 11.0]]))
+
+    pts = np.concatenate(tris)
+    z = rng.uniform(1.0, 2.0, len(pts))
+    z[-9:] = 3.0  # the far-off faces lie behind the rest
+    faces = np.arange(len(pts)).reshape(-1, 3)
+    a, b, c = (pts[faces[:, k]] for k in range(3))
+    denom = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    ext = (np.maximum(np.maximum(a, b), c) - np.minimum(np.minimum(a, b), c)).max(axis=1)
+    fallback = (np.abs(denom) >= 1e-12) & (np.abs(denom) < 1e-3 * ext * ext)
+    return pts, z, faces, fallback
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rasterize_matches_reference_on_hard_meshes(seed):
+    pts, z, faces, fallback = _hard_mesh(seed)
+    got = meshraster._rasterize(pts, z, faces, 24, 24)
+    _assert_same_cache(got, reference_rasterize(pts, z, faces, 24, 24))
+    face = got.vidx[:, 0] // 3
+    assert fallback.sum() >= 6 and np.isin(face, np.nonzero(fallback)[0]).any()
+    # some covered pixel centre lies outside its face's vertex bbox: the
+    # inside test's tolerance reaches it, so the box's margin is needed
+    corners = pts[got.vidx]
+    centre = np.stack([got.pix_cols, got.pix_rows], axis=1) + 0.5
+    outside = (centre < corners.min(axis=1)) | (centre > corners.max(axis=1))
+    assert outside.any()
+
+
+def test_raster_apply_matches_einsum_reference(clothed_rig):
+    front, back, _ = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 48)
+    attrs = np.random.default_rng(9).normal(size=clothed_rig.vertices.shape)
+    for cache in (front, back):
+        want, want_mask = reference_raster_apply(cache, attrs)
+        for dtype in (np.float32, np.float64):
+            img, mask = cache.apply(attrs.astype(dtype))
+            ref = reference_raster_apply(cache, attrs.astype(dtype))[0].astype(dtype)
+            assert img.dtype == dtype and img.tobytes() == ref.tobytes()
+            assert np.array_equal(mask, want_mask)
+        # the float64 image is the weighted sum itself, not rounded
+        assert cache.apply(attrs)[0].tobytes() == want.tobytes()
+
+
+def test_empty_raster_cache_applies_and_differentiates_to_zero():
+    cam = assets.perspective_camera((0.0, 3.0, 0.0), (0.0, 0.0, 0.0), (16, 12),
+                                    focal_px=20.0, near=0.1, far=2.5)
+    quad = np.array([[-0.3, 0.0, -0.3], [0.3, 0.0, -0.3], [0.3, 0.0, 0.3], [-0.3, 0.0, 0.3]])
+    faces = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.uint32)
+    caches = [
+        splat.rasterize_mesh_camera(quad, faces, quad, cam)[2],  # past the far plane
+        splat.rasterize_mesh_camera(quad + [40.0, 0.0, 0.0], faces, quad,  # wholly off-screen
+                                    dataclasses.replace(cam, far=20.0))[2],
+    ]
+    for cache in caches:
+        assert cache.pix_rows.size == 0
+        for dtype in (np.float32, np.float64):
+            img, mask = cache.apply(quad.astype(dtype))
+            assert img.dtype == dtype and img.shape == (12, 16, 3) and not img.any()
+            assert mask.dtype == bool and mask.shape == (12, 16) and not mask.any()
+            grad = cache.backward(np.ones((12, 16, 3), dtype))
+            assert grad.dtype == np.float64 and grad.shape == (4, 3) and not grad.any()
 
 
 def test_raster_backward_matches_add_at_reference(clothed_rig):

@@ -71,6 +71,22 @@ def test_nonrigid_constant_offset_normalization(clothed_rig):
     assert abs(val - c * nf / (nf + nb)) < 1e-6
 
 
+def test_mesh_map_op_keeps_input_precision(clothed_rig):
+    # float32 in training, float64 in the preflight: the op's forward is
+    # the weighted sum rounded once, to its input's dtype
+    from oracles import reference_raster_apply
+
+    front, _, _ = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 32)
+    delta = np.random.default_rng(6).normal(size=clothed_rig.vertices.shape)
+    for dtype in (np.float32, np.float64):
+        x = engine.Tensor(delta.astype(dtype), requires_grad=True)
+        out = ops.mesh_map_apply(x, front)
+        want = reference_raster_apply(front, x.data)[0].astype(dtype)
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        out.sum().backward()
+        assert x.grad.dtype == dtype
+
+
 def test_nonrigid_zero_when_equal(clothed_rig):
     rng = np.random.default_rng(3)
     delta = rng.normal(size=clothed_rig.vertices.shape).astype(np.float32)
@@ -368,6 +384,8 @@ def _assert_bake_fixed_point(t, tex0, mot):
     baked, tex, hist = train.bake(t, tex0, bundle, gt, mot, cfg)
     assert [r["l1"] for r in hist] == [0.0] * 12
     assert [r["dssim"] for r in hist] == [0.0] * 12
+    norms = [v for r in hist for k, v in r.items() if k.startswith(("gnorm_", "unorm_"))]
+    assert len(norms) == 12 * 6 and set(norms) == {0.0}
     assert np.abs(tex.gamma - tex0.gamma).max() < 1e-10
     assert _max_move(baked.body_mlp, bundle.body_mlp) < 1e-10
     assert _max_move(baked.cloth_mlp, bundle.cloth_mlp) < 1e-10
@@ -395,6 +413,26 @@ def test_bake_steps_adam_with_float32_gradients(tiny_setup, monkeypatch):
     monkeypatch.setattr(train.Adam, "step", spy)
     train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, train.TrainConfig(iterations=1, map_resolution=48))
     assert len(seen) > 10 and set(seen) == {np.dtype(np.float32)}
+
+
+def test_training_log_carries_group_norms(tiny_setup, tmp_path):
+    # every step logs each group's gradient and Adam update norms
+    t, tex, mot, src = tiny_setup
+    cfg = train.TrainConfig(iterations=2, map_resolution=48)
+    _, _, baked = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
+    _, tuned = train.finetune(t, tex, _bundle_for(t, tex, mot), src.frames, mot,
+                              train.TrainConfig(iterations=2))
+    for hist, groups in ((baked, ("mlp", "attributes", "embeddings")),
+                         (tuned, ("mlp", "blend_pos", "blend_col"))):
+        for rec in hist:
+            for group in groups:
+                for key in (f"gnorm_{group}", f"unorm_{group}"):
+                    assert np.isfinite(rec[key]) and rec[key] >= 0.0
+        assert any(hist[0][f"gnorm_{group}"] > 0.0 < hist[0][f"unorm_{group}"] for group in groups)
+    p = tmp_path / "log.txt"
+    train.write_train_log(baked, p)
+    fields = dict(kv.split("=", 1) for kv in p.read_text().splitlines()[0].split())
+    assert float(fields["gnorm_mlp"]) == pytest.approx(baked[0]["gnorm_mlp"], rel=1e-5)
 
 
 def _live_bundle(t, tex, mot):
