@@ -992,7 +992,7 @@ def _hard_mesh(seed, size=24):
 
     pts = np.concatenate(tris)
     z = rng.uniform(1.0, 2.0, len(pts))
-    z[-9:] = 3.0  # the far-off faces lie behind the rest
+    z[-9:] = 3.0  # the far-off and off-screen faces lie behind the rest
     faces = np.arange(len(pts)).reshape(-1, 3)
     a, b, c = (pts[faces[:, k]] for k in range(3))
     denom = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
