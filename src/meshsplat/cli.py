@@ -64,7 +64,6 @@ def _train_config(args, weights, **bake_only) -> "train_mod.TrainConfig":
         iterations=args.iterations,
         batch_size=args.batch_size,
         weights=weights,
-        threads=args.threads,
         **bake_only,
     )
 
@@ -78,7 +77,6 @@ def _add_train_flags(p):
     p.add_argument("--log", help="write per-iteration loss records to this file")
     p.add_argument("--skip-preflight", action="store_true",
                    help="skip the fast gradient checks that gate training")
-    p.add_argument("--threads", type=int, default=1, help="render threads (0 = all cores; same bits for any count)")
 
 
 def _add_bake_flags(p):
@@ -202,7 +200,7 @@ def _teacher_for(args, template, texture, motion):
     src = teacher.procedural_teacher(
         template, texture, motion, field=args.teacher_field,
         amplitude=args.amplitude, seed=args.teacher_seed,
-        map_resolution=args.map_res, threads=args.threads,
+        map_resolution=args.map_res,
     )
     if args.export_teacher:
         teacher.export_teacher(src, args.export_teacher)
@@ -281,7 +279,7 @@ def cmd_render(args) -> int:
     res = deform.animate_frame(
         t, tex, bundle, motion.frames[args.frame], motion.camera_for(args.frame),
         channels=("color", "alpha", "normal") if args.relight else ("color", "alpha"),
-        frame_index=args.frame, sort_mode=args.sort_mode, threads=args.threads,
+        frame_index=args.frame, sort_mode=args.sort_mode,
     )
     img = res.target.color
     if args.relight:
@@ -302,8 +300,7 @@ def cmd_animate(args) -> int:
     for i, frame in enumerate(motion.frames):
         res = deform.animate_frame(
             t, tex, bundle, frame, motion.camera_for(i),
-            channels=("color", "alpha"), frame_index=i,
-            sort_mode=args.sort_mode, threads=args.threads,
+            channels=("color", "alpha"), frame_index=i, sort_mode=args.sort_mode,
         )
         splat.write_image(res.target.color, os.path.join(args.out_dir, f"frame{i:05d}.{args.format}"))
     dt = time.perf_counter() - t0
@@ -353,8 +350,7 @@ def cmd_bench(args) -> int:
         key = order_key(proj.depth[idx], cam)
         t1 = time.perf_counter()
         image, _ = composite(proj.means2d[idx], proj.conic[idx], wg.opacity[idx],
-                             np.ascontiguousarray(wg.color[idx]), key, proj.radius[idx],
-                             w, h, threads=args.threads)
+                             np.ascontiguousarray(wg.color[idx]), key, proj.radius[idx], w, h)
         t2 = time.perf_counter()
         pairs = tile_pairs(proj.means2d[idx], proj.conic[idx], proj.radius[idx], key, w, h)[0].size
         stage["project"] += t1 - t0
@@ -374,7 +370,7 @@ def cmd_bench(args) -> int:
         bin_ms=stage["bin"] / args.frames * 1000.0,
         composite_ms=stage["composite"] / args.frames * 1000.0, pairs=pairs,
         saturated_px_frac=saturated / covered if covered else 0.0,
-        threads=args.threads, seed=args.seed,
+        seed=args.seed,
     ))
     return EXIT_OK
 
@@ -473,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort-mode", default="exact_f32", choices=("exact_f32", "quant_u16"))
     p.add_argument("--relight", help="shade by the rendered normals; light direction dx,dy,dz (unitless)")
     p.add_argument("--ambient", type=float, default=0.2, help="relight ambient term")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output image (.ppm or .png)")
     p.set_defaults(func=cmd_render)
 
@@ -484,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     _motion_flags(p)
     p.add_argument("--format", default="ppm", choices=("ppm", "png"))
     p.add_argument("--sort-mode", default="exact_f32", choices=("exact_f32", "quant_u16"))
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_animate)
 
@@ -492,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaussians", type=int, default=20000, help="cloud size")
     p.add_argument("--res", default="512x512", help="render resolution WxH (px)")
     p.add_argument("--frames", type=int, default=10, help="frames to time")
-    p.add_argument("--threads", type=int, default=0, help="0 = host cores")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 
@@ -549,10 +542,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if getattr(args, "threads", 1) < 0:
-            raise ValidationError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
-        if getattr(args, "threads", None) == 0:
-            args.threads = os.cpu_count() or 1
         return args.func(args)
     except (ValidationError, ContainerError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -280,7 +280,6 @@ def animate_frame(
     channels=("color", "alpha"),
     frame_index: int | None = None,
     sort_mode: str = "exact_f32",
-    threads: int = 1,
 ) -> AnimateResult:
     """Full per-frame pipeline: the student's non-rigid deltas and
     blend-shape residuals (none without a bundle), ``pose_frame``, then
@@ -296,7 +295,7 @@ def animate_frame(
         delta_c = blend_shape_apply(bundle.blend_col, coeffs)
 
     posed = pose_frame(template, texture, frame, camera, delta, delta_u, delta_c)
-    target = splat.render(posed.world, camera, channels=channels, sort_mode=sort_mode, threads=threads)
+    target = splat.render(posed.world, camera, channels=channels, sort_mode=sort_mode)
     return AnimateResult(target=target, world=posed.world)
 
 

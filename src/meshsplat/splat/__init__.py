@@ -76,7 +76,7 @@ def sort_keys(gaussians: WorldGaussians, camera: Camera, mode: str = "exact_f32"
 
 
 def splat_forward(means, rot_mats, scales, opacity, values, camera: Camera,
-                  sort_mode: str = "exact_f32", threads: int = 1, keep_cache: bool = False):
+                  sort_mode: str = "exact_f32", keep_cache: bool = False):
     """The splat forward pass that rendering and training share.
 
     Projects the world Gaussians, culls them to the visible set, orders
@@ -90,7 +90,7 @@ def splat_forward(means, rot_mats, scales, opacity, values, camera: Camera,
         values = values(proj)
     key = order_key(proj.depth[idx], camera, sort_mode)
     out, cache = composite(proj.means2d[idx], proj.conic[idx], opacity[idx], values[idx], key,
-                           proj.radius[idx], *camera.resolution, keep_cache=keep_cache, threads=threads)
+                           proj.radius[idx], *camera.resolution, keep_cache=keep_cache)
     return out, proj, idx, cache
 
 
@@ -123,7 +123,6 @@ def render(
     camera: Camera,
     channels=("color", "alpha"),
     sort_mode: str = "exact_f32",
-    threads: int = 1,
 ) -> RenderTarget:
     """Splat world Gaussians through the camera into the requested channels.
 
@@ -136,7 +135,7 @@ def render(
         raise ValidationError(f"non-finite opacity at indices {bad[:16].tolist()}")
     values, layout = _gather_values(gaussians, channels)
     out, _, _, _ = splat_forward(gaussians.means, gaussians.rot_mats, gaussians.scales,
-                                 gaussians.opacity, values, camera, sort_mode, threads)
+                                 gaussians.opacity, values, camera, sort_mode)
     W, H = camera.resolution
     target = RenderTarget(width=W, height=H, alpha=out[:, :, -1])
     for ch, (a, b) in layout.items():

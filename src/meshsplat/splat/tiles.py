@@ -58,7 +58,6 @@ dL/dmean = conic @ ((M_u, M_v) - (du, dv) * M_1).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +252,6 @@ def composite(
     width: int,
     height: int,
     keep_cache: bool = False,
-    threads: int = 1,
 ):
     """Rasterize to [H, W, C+1]; the last channel is alpha.
 
@@ -285,7 +283,7 @@ def composite(
     v_max = np.abs(val64).max(initial=1.0)
     val_ext = np.concatenate([val64, np.ones((n, 1))], axis=1)  # alpha composites a 1
 
-    def run_tile(k):
+    for k in range(len(starts)):
         ty, tx = int(ty_of[starts[k]]), int(tx_of[starts[k]])
         x0, y0 = tx * TILE, ty * TILE
         w_px, h_px = min(TILE, width - x0), min(TILE, height - y0)
@@ -313,19 +311,8 @@ def composite(
                 chunks.append((ids, alive, w, wt))
             alive = alive[run[-1] * v_max > STOP_BOUND]
         out[y0 : y0 + h_px, x0 : x0 + w_px] = acc.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0)
-        return (x0, y0, chunks) if keep_cache else None
-
-    if threads > 1:
-        # one contiguous span of tiles per worker, cut where the running
-        # pair count passes each equal share (a span may be empty)
-        cuts = np.searchsorted(ends, tile_of.size * np.arange(1, threads) / threads)
-        spans = np.split(np.arange(len(starts)), cuts)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = [r for span in ex.map(lambda span: [run_tile(k) for k in span], spans) for r in span]
-    else:
-        results = [run_tile(k) for k in range(len(starts))]
-    if keep_cache:
-        cache.tiles = results
+        if keep_cache:
+            cache.tiles.append((x0, y0, chunks))
     return out.astype(out_dtype), cache
 
 

@@ -120,7 +120,6 @@ def procedural_teacher(
     amplitude: float = 0.0,
     seed: int = 0,
     map_resolution: int = 128,
-    threads: int = 1,
 ) -> TeacherSource:
     """Analytic teacher over a motion sequence.
 
@@ -136,7 +135,7 @@ def procedural_teacher(
         dmap = splat.apply_map_caches(front_cache, back_cache, bounds, delta)
         camera = sequence.camera_for(t)
         posed = deform.pose_frame(template, texture, frame, camera, delta)
-        target = splat.render(posed.world, camera, channels=("color", "alpha", "normal"), threads=threads)
+        target = splat.render(posed.world, camera, channels=("color", "alpha", "normal"))
         mask = target.alpha > 0.5
         color, normal = quantize_images(target.color, target.normal)
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))

@@ -12,7 +12,7 @@ step Adam with per-group learning rates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -43,24 +43,34 @@ ATTRIBUTES = ("opacity_logit", "sh", "gamma")
 
 @dataclass
 class LossWeights:
-    """Loss term weights. The perceptual term is kept for config fidelity
-    but forced to zero at use (no pretrained feature network here).
-    ``finetune`` optimizes only the L1 and D-SSIM terms; see there."""
+    """Loss term weights. ``finetune`` optimizes only the L1 and D-SSIM
+    terms; see there. ``lpips`` is constructor-only and must be 0 (no
+    feature network backs a perceptual term); it is kept only while the
+    benchmark (``perfbench/workloads.py``) passes ``lpips=0.0``."""
 
     ssim: float = 0.2
-    lpips: float = 0.01
     nor: float = 0.02
     non: float = 0.1
     sem: float = 1.0
+    lpips: InitVar[float] = 0.0
+
+    def __post_init__(self, lpips: float) -> None:
+        if lpips != 0:
+            raise ValidationError(f"loss weight lpips must be 0, got {lpips}: "
+                                  "no feature network backs a perceptual term")
 
     def validate(self) -> None:
-        for name in ("ssim", "lpips", "nor", "non", "sem"):
+        for name in ("ssim", "nor", "non", "sem"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValidationError(f"loss weight {name} must be finite and nonnegative")
 
 
 @dataclass
 class TrainConfig:
+    """``threads`` is constructor-only and must be 1 (rendering is
+    single-threaded); it is kept only while the benchmark
+    (``perfbench/workloads.py``) passes ``threads=1``."""
+
     iterations: int = 2000
     batch_size: int = 1
     lrs: dict = field(default_factory=dict)
@@ -71,7 +81,11 @@ class TrainConfig:
     # synthetic poses they only offer a memorization shortcut, so runs on
     # synthetic data may freeze them at zero
     freeze_embeddings: bool = False
-    threads: int = 1
+    threads: InitVar[int] = 1
+
+    def __post_init__(self, threads: int) -> None:
+        if threads != 1:
+            raise ValidationError(f"threads must be 1, got {threads}: rendering is single-threaded")
 
     def validate(self) -> None:
         if self.iterations <= 0:
@@ -80,8 +94,6 @@ class TrainConfig:
             raise ValidationError("batch size must be positive")
         if not 0 < self.tau < np.inf:
             raise ValidationError("tau must be finite and positive")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
         self.weights.validate()
 
 
@@ -289,8 +301,7 @@ def bake(
             delta=delta_t, **{k: params[k] for k in ATTRIBUTES})
         values = concat([color, constant(world.normal), constant(sem_g)], axis=1)
 
-        img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales,
-                               threads=config.threads)
+        img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales)
         color_img = img[:, :, 0:3]
         parts["l1"] = l_rec = losses.loss_l1(color_img, tf.gt_color)
         if weights.ssim > 0:
@@ -413,8 +424,7 @@ def finetune(
         means, color, opacity = ops.bind(world, du=du, dc=dc)
         values = concat([color, constant(world.normal)], axis=1)
 
-        img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales,
-                               threads=config.threads)
+        img = ops.splat_render(means, values, opacity, camera, world.rot_mats, world.scales)
         color_img = img[:, :, 0:3]
 
         l1 = losses.loss_l1(color_img, gt.gt_color)

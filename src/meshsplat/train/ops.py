@@ -51,9 +51,9 @@ class SplatRender(Function):
     weight exponent and return to 3D via ``backproject_mean_grads``.
     """
 
-    def forward(self, means3d, values, opacity, camera=None, rot_mats=None, scales=None, threads=1):
+    def forward(self, means3d, values, opacity, camera=None, rot_mats=None, scales=None):
         out, self.proj, self.idx, self.cache = splat_forward(
-            means3d, rot_mats, scales, opacity, values, camera, threads=threads, keep_cache=True)
+            means3d, rot_mats, scales, opacity, values, camera, keep_cache=True)
         return out.astype(means3d.dtype)
 
     def backward(self, g):
@@ -75,11 +75,8 @@ def splat_render(
     camera: Camera,
     rot_mats: np.ndarray,
     scales: np.ndarray,
-    threads: int = 1,
 ) -> Tensor:
-    return SplatRender.apply(
-        means3d, values, opacity, camera=camera, rot_mats=rot_mats, scales=scales, threads=threads,
-    )
+    return SplatRender.apply(means3d, values, opacity, camera=camera, rot_mats=rot_mats, scales=scales)
 
 
 class AbsErrorSum(Function):

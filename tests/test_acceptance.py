@@ -401,7 +401,7 @@ def test_criterion_9_throughput_report(capsys):
     lines = []
     for gaussians, res, frames in ((20000, "512x512", 3), (200000, "1500x2000", 1)):
         rc = cli.main(["bench", "--gaussians", str(gaussians), "--res", res,
-                       "--frames", str(frames), "--threads", "0"])
+                       "--frames", str(frames)])
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert rc == 0
         for key in ("fps=", "project_ms=", "bin_ms=", "composite_ms="):

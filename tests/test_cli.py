@@ -186,16 +186,21 @@ def test_gen_rig_rejects_negative_expressions(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["bake", "finetune", "render", "animate", "bench"])
-def test_negative_threads_rejected_naming_the_flag(workdir, tmp_path, cmd, capsys):
+def test_threads_is_not_a_setting(workdir, tmp_path, cmd, capsys):
+    # rendering is single-threaded, so no flag or config key sets a thread count
     inputs = ["--template", str(workdir / "rig.tpl"), "--texture", str(workdir / "tex.gtx")]
     argv = {"bake": inputs + ["--out", str(tmp_path / "o.stu")],
             "finetune": inputs + ["--bundle", str(tmp_path / "b.stu"), "--out", str(tmp_path / "o.stu")],
             "render": inputs + ["--out", str(tmp_path / "o.ppm")],
             "animate": inputs + ["--out-dir", str(tmp_path / "frames")],
             "bench": ["--gaussians", "100", "--res", "32x32", "--frames", "1"]}[cmd]
-    assert run([cmd, *argv, "--threads", "-2"]) == 3
+    assert run([cmd, *argv, "--threads", "1"]) == 2
     assert "--threads" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=1\n")
+    assert run(["--config", str(cfg), cmd, *argv]) == 3
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_preflight_reports_every_suite(capsys):

@@ -652,6 +652,8 @@ def test_train_config_has_no_inert_fields():
     source = inspect.getsource(inspect.getmodule(train.bake))
     for f in dataclasses.fields(train.TrainConfig):
         assert f"config.{f.name}" in source, f.name
+    for f in dataclasses.fields(train.LossWeights):
+        assert f"weights.{f.name}" in source, f.name
 
 
 def test_train_log_format(tiny_setup, tmp_path):
