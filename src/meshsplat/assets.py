@@ -2,7 +2,12 @@
 motion, cameras, deformation maps, and the synthetic capsule rig generator.
 
 All values are immutable after load by convention; loaders validate every
-invariant and savers refuse to serialize invalid values.
+invariant and savers refuse to serialize invalid values. A value that
+another one determines is not stored: a template's cloth mask is its
+``component_labels == CLOTH``. Loaders read only the sections they name
+(the ``cloth_mask`` section of older templates is ignored) and check
+each section's shape against the others before indexing it, so a
+malformed file raises ``ContainerError`` naming the section.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .container import ContainerError, require
+from .container import ContainerError, require, require_shape
 
 MAGIC_TEMPLATE = b"MSPLTPL\0"
 MAGIC_TEXTURE = b"MSPLGTX\0"
@@ -63,7 +68,11 @@ class RiggedTemplate:
     component_labels: np.ndarray  # [V] u8
     seg_colors: np.ndarray      # [V,3] f32 in [0,1]
     expression_basis: np.ndarray  # [E,V,3] f32
-    cloth_mask: np.ndarray      # [V] u8
+
+    @property
+    def cloth_mask(self) -> np.ndarray:
+        """[V] u8: 1 on the cloth-labelled vertices."""
+        return (self.component_labels == CLOTH).astype(np.uint8)
 
     @property
     def num_vertices(self) -> int:
@@ -132,7 +141,6 @@ class RiggedTemplate:
         for name, arr, shape in (
             ("component_labels", self.component_labels, (V,)),
             ("seg_colors", self.seg_colors, (V, 3)),
-            ("cloth_mask", self.cloth_mask, (V,)),
         ):
             if arr.shape != shape:
                 raise ValidationError(f"{name} must be {shape}, got {arr.shape}")
@@ -140,8 +148,6 @@ class RiggedTemplate:
             raise ValidationError(f"expression_basis must be [E,V,3], got {self.expression_basis.shape}")
         if (self.seg_colors < 0).any() or (self.seg_colors > 1).any():
             raise ValidationError("seg_colors must lie in [0,1]")
-        if not np.array_equal(self.cloth_mask != 0, self.component_labels == CLOTH):
-            raise ValidationError("cloth_mask must be 1 exactly on cloth-labelled vertices")
 
 
 def save_template(template: RiggedTemplate, path) -> None:
@@ -156,7 +162,6 @@ def save_template(template: RiggedTemplate, path) -> None:
         "component_labels": template.component_labels.astype(np.uint8),
         "seg_colors": _f32(template.seg_colors),
         "expression_basis": _f32(template.expression_basis),
-        "cloth_mask": template.cloth_mask.astype(np.uint8),
     })
 
 
@@ -172,7 +177,6 @@ def load_template(path) -> RiggedTemplate:
         component_labels=require(s, "component_labels", path),
         seg_colors=require(s, "seg_colors", path),
         expression_basis=require(s, "expression_basis", path),
-        cloth_mask=require(s, "cloth_mask", path),
     )
     try:
         t.validate()
@@ -257,7 +261,7 @@ def save_texture(texture: GaussianTexture, path) -> None:
 
 def load_texture(path) -> GaussianTexture:
     s = container.read_sections(path, MAGIC_TEXTURE)
-    meta = require(s, "meta", path)
+    meta = require_shape(s, "meta", (2,), path)
     t = GaussianTexture(
         face_idx=require(s, "face_idx", path),
         uv=require(s, "uv", path),
@@ -421,19 +425,24 @@ def save_motion(motion: MotionSequence, path) -> None:
 
 def load_motion(path) -> MotionSequence:
     s = container.read_sections(path, MAGIC_MOTION)
-    theta = require(s, "theta", path)
-    epsilon = require(s, "epsilon", path)
-    root = require(s, "root", path)
-    zs = s.get("z")
+    theta = require_shape(s, "theta", (None, None), path)
+    T = theta.shape[0]
+    epsilon = require_shape(s, "epsilon", (T, None), path)
+    root = require_shape(s, "root", (T, 4, 4), path)
+    zs = require_shape(s, "z", (T, None), path) if "z" in s else None
     frames = [
         FrameInput(theta[t], epsilon[t], root[t], None if zs is None else zs[t])
-        for t in range(theta.shape[0])
+        for t in range(T)
     ]
-    cam_mode = require(s, "cam_mode", path)
-    cam_params = require(s, "cam_params", path)
-    cam_extr = require(s, "cam_extrinsic", path)
-    cam_res = require(s, "cam_resolution", path)
-    cam_clip = require(s, "cam_clip", path)
+    cam_mode = require_shape(s, "cam_mode", (None,), path)
+    C = cam_mode.shape[0]
+    unknown = sorted(set(cam_mode.tolist()) - set(_CAM_MODE_NAMES))
+    if unknown:
+        raise ContainerError(f"section 'cam_mode': unknown camera mode codes {unknown}", path=path)
+    cam_params = require_shape(s, "cam_params", (C, 4), path)
+    cam_extr = require_shape(s, "cam_extrinsic", (C, 4, 4), path)
+    cam_res = require_shape(s, "cam_resolution", (C, 2), path)
+    cam_clip = require_shape(s, "cam_clip", (C, 2), path)
     cameras = [
         Camera(
             _CAM_MODE_NAMES[int(cam_mode[i])],
@@ -443,7 +452,7 @@ def load_motion(path) -> MotionSequence:
             float(cam_clip[i, 0]),
             float(cam_clip[i, 1]),
         )
-        for i in range(cam_mode.shape[0])
+        for i in range(C)
     ]
     m = MotionSequence(frames, cameras, require(s, "frame_cam", path))
     try:
@@ -518,6 +527,17 @@ def load_dmap(path) -> DeformationMap:
 # capsule around the z axis spanning the joint chain; the optional cloth
 # component is an open skirt tube around the lower half.
 
+CAPSULE_RADIUS = 0.12   # m
+CAPSULE_HEIGHT = 1.70   # m, the joint chain's span along z
+CAP_RINGS = 3           # vertex rings per hemispherical cap
+# the skirt spans these fractions of the capsule height, waist to hem,
+# at these gaps (m) outside the capsule surface
+SKIRT_WAIST_FRAC, SKIRT_HEM_FRAC = 0.50, 0.22
+SKIRT_WAIST_GAP, SKIRT_HEM_GAP = 0.015, 0.045
+SKIRT_LEVELS = 6        # vertex rings, waist to hem
+SWING_AMPLITUDE = 0.25  # rad, the largest joint swing
+SWING_CAMERA_DISTANCE = 4.0  # m, from the body axis to the front camera
+
 
 def _z_tent_weights(z, joint_z):
     """Smooth <=2-influence skin weights from height along the chain."""
@@ -538,13 +558,13 @@ def _z_tent_weights(z, joint_z):
     return idx, w
 
 
-def _capsule_mesh(radius, height, rings_per_segment, segments, n_around, cap_rings=3):
+def _capsule_mesh(radius, height, rings_per_segment, segments, n_around):
     """Closed capsule: cylinder [0,height] plus hemispherical caps."""
     ring_z = []
     ring_r = []
     # bottom cap (excluding apex), from near-apex to the seam
-    for i in range(1, cap_rings + 1):
-        a = 0.5 * np.pi * i / (cap_rings + 1)
+    for i in range(1, CAP_RINGS + 1):
+        a = 0.5 * np.pi * i / (CAP_RINGS + 1)
         ring_z.append(-radius * np.cos(a))
         ring_r.append(radius * np.sin(a))
     # cylinder body
@@ -553,8 +573,8 @@ def _capsule_mesh(radius, height, rings_per_segment, segments, n_around, cap_rin
         ring_z.append(height * i / (n_cyl - 1))
         ring_r.append(radius)
     # top cap
-    for i in range(1, cap_rings + 1):
-        a = 0.5 * np.pi * i / (cap_rings + 1)
+    for i in range(1, CAP_RINGS + 1):
+        a = 0.5 * np.pi * i / (CAP_RINGS + 1)
         ring_z.append(height + radius * np.sin(a))
         ring_r.append(radius * np.cos(a))
 
@@ -586,20 +606,11 @@ def _capsule_mesh(radius, height, rings_per_segment, segments, n_around, cap_rin
     return vertices.astype(np.float32), np.asarray(faces, dtype=np.uint32)
 
 
-def make_skirt_mesh(
-    radius=0.12,
-    height=1.7,
-    waist_frac=0.50,
-    hem_frac=0.22,
-    waist_gap=0.015,
-    hem_gap=0.045,
-    n_levels=6,
-    n_around=16,
-) -> tuple[np.ndarray, np.ndarray]:
+def make_skirt_mesh(n_around=16) -> tuple[np.ndarray, np.ndarray]:
     """Open flared tube around the capsule's lower half (canonical pose)."""
-    zs = np.linspace(waist_frac * height, hem_frac * height, n_levels)
-    t = np.linspace(0.0, 1.0, n_levels)
-    rs = radius + waist_gap + t * (hem_gap - waist_gap)
+    zs = np.linspace(SKIRT_WAIST_FRAC * CAPSULE_HEIGHT, SKIRT_HEM_FRAC * CAPSULE_HEIGHT, SKIRT_LEVELS)
+    t = np.linspace(0.0, 1.0, SKIRT_LEVELS)
+    rs = CAPSULE_RADIUS + SKIRT_WAIST_GAP + t * (SKIRT_HEM_GAP - SKIRT_WAIST_GAP)
     phi = 2.0 * np.pi * np.arange(n_around) / n_around
     levels = [
         np.stack([r * np.cos(phi), r * np.sin(phi), np.full(n_around, z)], axis=1)
@@ -607,7 +618,7 @@ def make_skirt_mesh(
     ]
     verts = np.concatenate(levels, axis=0).astype(np.float32)
     faces = []
-    for lv in range(n_levels - 1):
+    for lv in range(SKIRT_LEVELS - 1):
         for k in range(n_around):
             a = lv * n_around + k
             b = lv * n_around + (k + 1) % n_around
@@ -623,8 +634,6 @@ def make_capsule_rig(
     cloth: bool = False,
     seed: int = 0,
     n_expressions: int = 10,
-    radius: float = 0.12,
-    height: float = 1.70,
     n_around: int = 16,
     rings_per_segment: int = 2,
 ) -> RiggedTemplate:
@@ -637,16 +646,16 @@ def make_capsule_rig(
         raise ValueError("need at least 2 joints")
     rng = np.random.default_rng(seed)
     segments = joints - 1
-    verts, faces = _capsule_mesh(radius, height, rings_per_segment, segments, n_around)
+    verts, faces = _capsule_mesh(CAPSULE_RADIUS, CAPSULE_HEIGHT, rings_per_segment, segments, n_around)
     labels = np.full(verts.shape[0], BODY, dtype=np.uint8)
 
     if cloth:
-        sv, sf = make_skirt_mesh(radius=radius, height=height, n_around=n_around)
+        sv, sf = make_skirt_mesh(n_around=n_around)
         faces = np.concatenate([faces, sf + verts.shape[0]], axis=0)
         verts = np.concatenate([verts, sv], axis=0)
         labels = np.concatenate([labels, np.full(sv.shape[0], CLOTH, dtype=np.uint8)])
 
-    joint_z = np.array([height * j / segments for j in range(joints)], dtype=np.float64)
+    joint_z = np.array([CAPSULE_HEIGHT * j / segments for j in range(joints)], dtype=np.float64)
     parents = np.concatenate([[-1], np.arange(joints - 1)]).astype(np.int32)
     rest = np.tile(np.eye(4, dtype=np.float32), (joints, 1, 1))
     for j in range(1, joints):
@@ -659,8 +668,8 @@ def make_capsule_rig(
         colors[labels == code] = rgb
 
     # expression channels deform the head region (top of the capsule)
-    head_lo = height * 0.92
-    head_hi = height + radius
+    head_lo = CAPSULE_HEIGHT * 0.92
+    head_hi = CAPSULE_HEIGHT + CAPSULE_RADIUS
     ramp = np.clip((verts[:, 2] - head_lo) / (head_hi - head_lo), 0.0, 1.0).astype(np.float32)
     basis = np.zeros((n_expressions, verts.shape[0], 3), dtype=np.float32)
     for e in range(n_expressions):
@@ -680,7 +689,6 @@ def make_capsule_rig(
         component_labels=labels,
         seg_colors=colors,
         expression_basis=basis,
-        cloth_mask=(labels == CLOTH).astype(np.uint8),
     )
     t.validate()
     return t
@@ -691,18 +699,15 @@ def make_swing_motion(
     n_frames: int,
     seed: int = 0,
     resolution=(128, 128),
-    amplitude: float = 0.25,
-    camera_distance: float = 4.0,
-    n_cameras: int = 1,
 ) -> MotionSequence:
-    """Smooth sinusoidal joint swings with front-facing cameras.
+    """Smooth sinusoidal joint swings seen by one front-facing camera.
 
     Utility for tests and the training harness; poses stay inside a
     small-angle band so the capsule never self-intersects.
     """
     rng = np.random.default_rng(seed)
     D = template.theta_dim
-    amp = amplitude * rng.uniform(0.2, 1.0, size=D).astype(np.float32)
+    amp = SWING_AMPLITUDE * rng.uniform(0.2, 1.0, size=D).astype(np.float32)
     freq = rng.uniform(0.5, 2.0, size=D).astype(np.float32)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=D).astype(np.float32)
     E = template.num_expressions
@@ -711,11 +716,8 @@ def make_swing_motion(
     ephase = rng.uniform(0.0, 2.0 * np.pi, size=E).astype(np.float32)
 
     zmid = 0.5 * float(template.vertices[:, 2].max() + template.vertices[:, 2].min())
-    cams = []
-    for c in range(n_cameras):
-        ang = 2.0 * np.pi * c / max(n_cameras, 1)
-        eye = (camera_distance * np.sin(ang), camera_distance * np.cos(ang), zmid)
-        cams.append(perspective_camera(eye, (0.0, 0.0, zmid), resolution, near=0.1, far=20.0))
+    camera = perspective_camera((0.0, SWING_CAMERA_DISTANCE, zmid), (0.0, 0.0, zmid), resolution,
+                                near=0.1, far=20.0)
 
     frames = []
     for t in range(n_frames):
@@ -723,8 +725,7 @@ def make_swing_motion(
         theta = amp * np.sin(2.0 * np.pi * freq * u + phase)
         eps = eamp * np.sin(2.0 * np.pi * efreq * u + ephase)
         frames.append(FrameInput(theta.astype(np.float32), eps.astype(np.float32), np.eye(4, dtype=np.float32)))
-    frame_cam = (np.arange(n_frames) % len(cams)).astype(np.uint32)
-    m = MotionSequence(frames, cams, frame_cam)
+    m = MotionSequence(frames, [camera], np.zeros(n_frames, dtype=np.uint32))
     m.validate()
     return m
 
@@ -749,7 +750,6 @@ def mesh_only_template(verts: np.ndarray, faces: np.ndarray, label: int = BODY) 
         component_labels=labels,
         seg_colors=colors,
         expression_basis=np.zeros((0, V, 3), dtype=np.float32),
-        cloth_mask=(labels == CLOTH).astype(np.uint8),
     )
     t.validate()
     return t

@@ -534,7 +534,7 @@ def main(argv=None) -> int:
         try:
             overrides = _load_config_file(argv[i + 1])
             _apply_config_defaults(parser, overrides)
-        except (OSError, ValidationError) as e:
+        except (OSError, ValueError) as e:  # ValueError: ValidationError, bytes that are not UTF-8
             print(f"error: {e}", file=sys.stderr)
             return EXIT_VALIDATION
     try:

@@ -134,3 +134,13 @@ def require(sections: dict[str, np.ndarray], name: str, path=None) -> np.ndarray
     if name not in sections:
         raise ContainerError(f"missing section '{name}'", path=path)
     return sections[name]
+
+
+def require_shape(sections: dict[str, np.ndarray], name: str, shape: tuple, path) -> np.ndarray:
+    """``require`` plus a shape check; a ``None`` entry of ``shape``
+    matches any length on that axis."""
+    arr = require(sections, name, path)
+    if arr.ndim != len(shape) or any(w is not None and n != w for n, w in zip(arr.shape, shape)):
+        expect = ",".join("*" if w is None else str(w) for w in shape)
+        raise ContainerError(f"section '{name}' has shape {list(arr.shape)}, expected [{expect}]", path=path)
+    return arr

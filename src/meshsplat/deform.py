@@ -2,6 +2,14 @@
 non-rigid deformation field (cloth branch on cloth vertices only, body
 branch everywhere), mapping networks and blend-shape compensation, and
 the per-frame pose-to-image pipeline.
+
+Bundle files (``.stu``) hold the bundle's seven arrays and nothing
+else: each net's layers as ``<net>.<i>.w`` / ``.b`` sections (``sb``,
+``sc``, ``maph``, ``mapb``), then ``blend_pos``, ``blend_col`` and
+``z_table``. Every size, and the precision, is read back from those
+arrays; the positional encoding always has ``PE_BANDS`` bands. Sections
+the loader does not name, such as the ``meta`` of older files, are
+ignored.
 """
 
 from __future__ import annotations
@@ -96,26 +104,52 @@ def mlp_forward(layers, x: np.ndarray) -> np.ndarray:
 @dataclass
 class StudentBundle:
     """Trainable student state: deformation MLPs, mapping nets, blend
-    shapes, and the per-frame embedding table."""
+    shapes, and the per-frame embedding table. Every size is read from
+    these arrays."""
 
     body_mlp: list            # S_b, 5 layers
     cloth_mlp: list           # S_c, 5 layers, run on cloth vertices only
     head_map: list            # expression -> head coefficients
     body_map: list            # pose -> body coefficients
-    blend_pos: np.ndarray     # [G,3,n]
-    blend_col: np.ndarray     # [G,3,n]
+    blend_pos: np.ndarray     # [G,3,n_head+n_body]
+    blend_col: np.ndarray     # [G,3,n_head+n_body]
     z_table: np.ndarray       # [T,embed_dim]
-    pe_bands: int = PE_BANDS
-    theta_dim: int = 63
-    eps_dim: int = 10
-    embed_dim: int = EMBED_DIM
-    n_head: int = N_HEAD
-    n_body: int = N_BODY
-    precision: str = "fp32"
+
+    @property
+    def pe_bands(self) -> int:
+        return PE_BANDS
+
+    @property
+    def theta_dim(self) -> int:
+        return self.body_map[0][0].shape[0]
+
+    @property
+    def eps_dim(self) -> int:
+        return self.head_map[0][0].shape[0]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.z_table.shape[1]
+
+    @property
+    def n_head(self) -> int:
+        return self.head_map[-1][0].shape[1]
+
+    @property
+    def n_body(self) -> int:
+        return self.body_map[-1][0].shape[1]
 
     @property
     def input_dim(self) -> int:
-        return pe_dim(3, self.pe_bands) + self.theta_dim + self.embed_dim
+        return self.body_mlp[0][0].shape[0]
+
+    @property
+    def precision(self) -> str:
+        """``"fp16"`` when any net stores half-precision weights: training
+        from a quantized bundle replaces only the nets it optimizes."""
+        nets = (self.body_mlp, self.cloth_mlp, self.head_map, self.body_map)
+        half = any(w.dtype == np.float16 for net in nets for w, _ in net)
+        return "fp16" if half else "fp32"
 
     def validate_for(self, template: RiggedTemplate, texture: GaussianTexture | None = None) -> None:
         if self.theta_dim != template.theta_dim:
@@ -156,8 +190,6 @@ def init_bundle(
         blend_pos=np.zeros((G, 3, n), dtype=np.float32),
         blend_col=np.zeros((G, 3, n), dtype=np.float32),
         z_table=np.zeros((max(n_frames, 1), EMBED_DIM), dtype=np.float32),
-        theta_dim=template.theta_dim,
-        eps_dim=template.num_expressions,
     )
 
 
@@ -309,14 +341,24 @@ def _net_sections(prefix, layers, out, dtype):
         out[f"{prefix}.{i}.b"] = np.ascontiguousarray(b, dtype=dtype)
 
 
-def _net_from_sections(prefix, sections):
+def _net_from_sections(prefix, sections, path):
+    """The ``prefix.<i>.w`` / ``.b`` layers, checked to chain: each weight
+    a matrix whose rows match the previous layer's width, each bias a
+    vector of its columns."""
     layers = []
-    i = 0
-    while f"{prefix}.{i}.w" in sections:
-        layers.append((sections[f"{prefix}.{i}.w"], sections[f"{prefix}.{i}.b"]))
-        i += 1
+    while f"{prefix}.{len(layers)}.w" in sections:
+        name = f"{prefix}.{len(layers)}"
+        w, b = sections[f"{name}.w"], container.require(sections, f"{name}.b", path)
+        if w.ndim != 2 or (layers and w.shape[0] != layers[-1][0].shape[1]):
+            rows = f" of {layers[-1][0].shape[1]} rows" if layers else ""
+            raise container.ContainerError(f"section '{name}.w' has shape {w.shape}, expected a matrix{rows}",
+                                           path=path)
+        if b.shape != w.shape[1:]:
+            raise container.ContainerError(f"section '{name}.b' has shape {b.shape}, expected {w.shape[1:]}",
+                                           path=path)
+        layers.append((w, b))
     if not layers:
-        raise container.ContainerError(f"missing section '{prefix}.0.w'")
+        raise container.ContainerError(f"missing section '{prefix}.0.w'", path=path)
     return layers
 
 
@@ -330,30 +372,39 @@ def save_bundle(bundle: StudentBundle, path) -> None:
     sections["blend_pos"] = np.ascontiguousarray(bundle.blend_pos, dtype=np.float32)
     sections["blend_col"] = np.ascontiguousarray(bundle.blend_col, dtype=np.float32)
     sections["z_table"] = np.ascontiguousarray(bundle.z_table, dtype=np.float32)
-    sections["meta"] = np.array(
-        [bundle.pe_bands, bundle.theta_dim, bundle.eps_dim, bundle.embed_dim,
-         bundle.n_head, bundle.n_body, 1 if bundle.precision == "fp16" else 0],
-        dtype=np.int32,
-    )
     container.write_sections(path, MAGIC_BUNDLE, sections)
 
 
 def load_bundle(path) -> StudentBundle:
+    """Read a bundle and check that its arrays fit together: each net's
+    layers chain, the deformation nets take ``input_dim`` =
+    ``pe_dim(3, PE_BANDS) + theta_dim + embed_dim`` inputs and give 3
+    outputs, and the blend shapes are ``[G,3,n_head+n_body]``. A section
+    that breaks this raises ``ContainerError`` naming it."""
     s = container.read_sections(path, MAGIC_BUNDLE)
-    meta = container.require(s, "meta", path)
-    return StudentBundle(
-        body_mlp=_net_from_sections("sb", s),
-        cloth_mlp=_net_from_sections("sc", s),
-        head_map=_net_from_sections("maph", s),
-        body_map=_net_from_sections("mapb", s),
+    nets = {prefix: _net_from_sections(prefix, s, path) for prefix in ("sb", "sc", "maph", "mapb")}
+    bundle = StudentBundle(
+        body_mlp=nets["sb"],
+        cloth_mlp=nets["sc"],
+        head_map=nets["maph"],
+        body_map=nets["mapb"],
         blend_pos=container.require(s, "blend_pos", path),
         blend_col=container.require(s, "blend_col", path),
-        z_table=container.require(s, "z_table", path),
-        pe_bands=int(meta[0]),
-        theta_dim=int(meta[1]),
-        eps_dim=int(meta[2]),
-        embed_dim=int(meta[3]),
-        n_head=int(meta[4]),
-        n_body=int(meta[5]),
-        precision="fp16" if meta[6] else "fp32",
+        z_table=container.require_shape(s, "z_table", (None, None), path),
     )
+    in_dim = pe_dim(3, PE_BANDS) + bundle.theta_dim + bundle.embed_dim
+    for prefix in ("sb", "sc"):
+        layers = nets[prefix]
+        if layers[0][0].shape[0] != in_dim:
+            raise container.ContainerError(
+                f"section '{prefix}.0.w' takes {layers[0][0].shape[0]} inputs, expected {in_dim} = "
+                f"{pe_dim(3, PE_BANDS)} encoded + {bundle.theta_dim} pose + {bundle.embed_dim} embedding",
+                path=path)
+        if layers[-1][0].shape[1] != 3:
+            raise container.ContainerError(
+                f"section '{prefix}.{len(layers) - 1}.w' gives {layers[-1][0].shape[1]} outputs, expected 3",
+                path=path)
+    n = bundle.n_head + bundle.n_body
+    G = container.require_shape(s, "blend_pos", (None, 3, n), path).shape[0]
+    container.require_shape(s, "blend_col", (G, 3, n), path)
+    return bundle

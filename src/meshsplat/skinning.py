@@ -15,6 +15,8 @@ from .rotations import axis_angle_to_quat, quat_to_matrix
 
 DEFAULT_TRANSFER_BAND = 0.05  # meters
 SMOOTH_LAMBDA = 0.5
+COND_LIMIT = 1e8      # inverse skinning flags blended matrices above this condition number
+CLOSEST_CHUNK = 128   # query points per batch of the closest-triangle search
 
 
 @dataclass
@@ -126,12 +128,11 @@ def lbs_inverse(
     points: np.ndarray,
     skin_idx: np.ndarray,
     skin_w: np.ndarray,
-    cond_limit: float = 1e8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map posed points back to canonical space through the blended matrices.
 
     Returns (canonical_points, ill_flags); a point is flagged when its
-    blended matrix has condition number above ``cond_limit``. Flagged
+    blended matrix has condition number above ``COND_LIMIT``. Flagged
     points still receive a least-squares solution.
     """
     A = blend_vertex_matrices(skin_idx, skin_w, skinning_matrices(template, skeleton))
@@ -139,7 +140,7 @@ def lbs_inverse(
     t = A[:, :3, 3]
     rhs = points.astype(np.float64) - t
     cond = np.linalg.cond(R)
-    ill = ~np.isfinite(cond) | (cond > cond_limit)
+    ill = ~np.isfinite(cond) | (cond > COND_LIMIT)
     out = np.empty_like(rhs)
     ok = ~ill
     if ok.any():
@@ -210,7 +211,7 @@ def _closest_on_triangles(p: np.ndarray, a, b, c):
     return sq, bary
 
 
-def closest_surface_points(points: np.ndarray, verts: np.ndarray, faces: np.ndarray, chunk: int = 128):
+def closest_surface_points(points: np.ndarray, verts: np.ndarray, faces: np.ndarray):
     """For each query point: (distance, face index, barycentric weights)."""
     points = points.astype(np.float64)
     tri = verts.astype(np.float64)[faces.astype(np.int64)]  # [F,3,3]
@@ -219,8 +220,8 @@ def closest_surface_points(points: np.ndarray, verts: np.ndarray, faces: np.ndar
     best_d = np.full(n, np.inf)
     best_f = np.zeros(n, dtype=np.int64)
     best_b = np.zeros((n, 3))
-    for s in range(0, n, chunk):
-        p = points[s : s + chunk]  # [m,3]
+    for s in range(0, n, CLOSEST_CHUNK):
+        p = points[s : s + CLOSEST_CHUNK]  # [m,3]
         m = p.shape[0]
         pp = np.repeat(p, F, axis=0)
         a = np.tile(tri[:, 0], (m, 1))
@@ -231,9 +232,9 @@ def closest_surface_points(points: np.ndarray, verts: np.ndarray, faces: np.ndar
         bary = bary.reshape(m, F, 3)
         k = np.argmin(sq, axis=1)
         rows = np.arange(m)
-        best_d[s : s + chunk] = np.sqrt(sq[rows, k])
-        best_f[s : s + chunk] = k
-        best_b[s : s + chunk] = bary[rows, k]
+        best_d[s : s + CLOSEST_CHUNK] = np.sqrt(sq[rows, k])
+        best_f[s : s + CLOSEST_CHUNK] = k
+        best_b[s : s + CLOSEST_CHUNK] = bary[rows, k]
     return best_d, best_f, best_b
 
 
@@ -243,9 +244,9 @@ def transfer_skin_weights(
     garment_faces: np.ndarray,
     body_verts: np.ndarray | None = None,
     band: float = DEFAULT_TRANSFER_BAND,
-    smooth_iters: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric closest-triangle weight transfer plus Laplacian smoothing.
+    """Barycentric closest-triangle weight transfer plus one Laplacian
+    smoothing pass over the garment's edges.
 
     ``body_verts`` overrides the body's canonical vertices when the
     garment is given in a posed reference frame. Vertices farther than
@@ -267,18 +268,17 @@ def transfer_skin_weights(
     corners = body.faces.astype(np.int64)[face]  # [N,3]
     rows = np.einsum("nk,nkj->nj", bary, dense_body[corners])  # [N,J]
 
-    if smooth_iters > 0 and garment_faces.size:
+    if garment_faces.size:
         nbr = [set() for _ in range(garment_verts.shape[0])]
         for f in garment_faces.astype(np.int64):
             for i in range(3):
                 nbr[f[i]].add(int(f[(i + 1) % 3]))
                 nbr[f[i]].add(int(f[(i + 2) % 3]))
-        for _ in range(smooth_iters):
-            smoothed = rows.copy()
-            for i, ns in enumerate(nbr):
-                if ns:
-                    smoothed[i] = (1.0 - SMOOTH_LAMBDA) * rows[i] + SMOOTH_LAMBDA * rows[list(ns)].mean(axis=0)
-            rows = smoothed
+        smoothed = rows.copy()
+        for i, ns in enumerate(nbr):
+            if ns:
+                smoothed[i] = (1.0 - SMOOTH_LAMBDA) * rows[i] + SMOOTH_LAMBDA * rows[list(ns)].mean(axis=0)
+        rows = smoothed
 
     rows = np.maximum(rows, 0.0)
     rows /= rows.sum(axis=1, keepdims=True)
@@ -347,7 +347,6 @@ def build_clothed_template(
     basis = np.concatenate(
         [body.expression_basis, np.zeros((E, extra, 3), dtype=np.float32)], axis=1
     )
-    all_labels = np.concatenate(labels)
     merged = RiggedTemplate(
         vertices=np.concatenate(verts).astype(np.float32),
         faces=np.concatenate(faces),
@@ -355,10 +354,9 @@ def build_clothed_template(
         joint_rest=body.joint_rest,
         skin_idx=np.concatenate(skin_idx),
         skin_w=np.concatenate(skin_w),
-        component_labels=all_labels,
+        component_labels=np.concatenate(labels),
         seg_colors=np.concatenate(colors),
         expression_basis=basis,
-        cloth_mask=(all_labels == assets.CLOTH).astype(np.uint8),
     )
     merged.validate()
     return merged

@@ -41,7 +41,6 @@ class TeacherFrame:
 @dataclass
 class TeacherSource:
     frames: list[TeacherFrame]
-    map_resolution: int
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -139,7 +138,7 @@ def procedural_teacher(
         mask = target.alpha > 0.5
         color, normal = quantize_images(target.color, target.normal)
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))
-    return TeacherSource(frames=frames, map_resolution=map_resolution)
+    return TeacherSource(frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -201,4 +200,4 @@ def ingest_teacher(manifest_path) -> TeacherSource:
         if dmap.front.shape[0] != map_res:
             raise ValidationError(f"frame {t}: map resolution {dmap.front.shape[0]} != {map_res}")
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))
-    return TeacherSource(frames=frames, map_resolution=int(map_res))
+    return TeacherSource(frames=frames)

@@ -38,10 +38,10 @@ def grad_check(
     params: list[np.ndarray],
     tol: float,
     max_coords: int = 64,
-    step: float = FD_STEP,
     seed: int = 0,
 ) -> GradReport:
-    """Compare analytic gradients of ``f`` with central differences.
+    """Compare analytic gradients of ``f`` with central differences of
+    step ``FD_STEP``.
 
     Relative error is |analytic - numeric| / max(|analytic|, |numeric|,
     1e-6); coordinates whose difference is below the absolute noise floor
@@ -68,12 +68,12 @@ def grad_check(
         for c in coords:
             c = int(c)
             orig = flat[c]
-            flat[c] = orig + step
+            flat[c] = orig + FD_STEP
             lp, _ = f(params)
-            flat[c] = orig - step
+            flat[c] = orig - FD_STEP
             lm, _ = f(params)
             flat[c] = orig
-            numeric = (lp - lm) / (2.0 * step)
+            numeric = (lp - lm) / (2.0 * FD_STEP)
             analytic = float(g.reshape(-1)[c])
             diff = abs(analytic - numeric)
             rel = diff / max(abs(analytic), abs(numeric), 1e-6)

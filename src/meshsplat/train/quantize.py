@@ -59,7 +59,6 @@ def quantize_bundle(bundle: deform.StudentBundle, seed: int = 0,
         cloth_mlp=_quantize_net(bundle.cloth_mlp),
         head_map=_quantize_net(bundle.head_map),
         body_map=_quantize_net(bundle.body_map),
-        precision="fp16",
     )
     rng = np.random.default_rng(seed)
     per_net = {

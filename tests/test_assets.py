@@ -33,6 +33,31 @@ def test_cloth_flag_forces_cloth_vertices():
     assert np.array_equal(t.cloth_mask == 1, t.component_labels == assets.CLOTH)
 
 
+def test_cloth_mask_is_derived_from_the_labels():
+    import dataclasses
+
+    assert "cloth_mask" not in [f.name for f in dataclasses.fields(assets.RiggedTemplate)]
+    assert assets.make_capsule_rig(3, cloth=True, seed=0).cloth_mask.dtype == np.uint8
+
+
+def test_parent_layout_template_loads(tmp_path):
+    # files written before the mask was derived carry a ``cloth_mask``
+    # section; the loader ignores it
+    from meshsplat import container
+
+    t = assets.make_capsule_rig(3, cloth=True, seed=0)
+    p = tmp_path / "t.tpl"
+    assets.save_template(t, p)
+    sections = container.read_sections(p, assets.MAGIC_TEMPLATE)
+    assert "cloth_mask" not in sections
+    sections["cloth_mask"] = t.cloth_mask
+    container.write_sections(p, assets.MAGIC_TEMPLATE, sections)
+    back = assets.load_template(p)
+    for name in ("vertices", "faces", "joint_parents", "joint_rest", "skin_idx", "skin_w",
+                 "component_labels", "seg_colors", "expression_basis", "cloth_mask"):
+        assert np.array_equal(getattr(back, name), getattr(t, name)), name
+
+
 def test_rig_requires_two_joints():
     with pytest.raises(ValueError):
         assets.make_capsule_rig(1)

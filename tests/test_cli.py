@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -307,3 +308,67 @@ def test_quant_u16_sort_mode_flag(workdir):
     assert run(["render", "--template", str(workdir / "rig.tpl"),
                 "--texture", str(workdir / "tex.gtx"), "--res", "48x48",
                 "--sort-mode", "quant_u16", "--out", str(out)]) == 0
+
+
+def _good_file(workdir, tmp_path, kind):
+    """A valid motion (with embeddings), texture or bundle file and its magic."""
+    from meshsplat import assets, deform
+
+    rig = assets.load_template(workdir / "rig.tpl")
+    if kind == "motion":
+        motion = assets.make_swing_motion(rig, 3, seed=1, resolution=(16, 16))
+        motion.frames = [dataclasses.replace(f, z=np.zeros(4, np.float32)) for f in motion.frames]
+        assets.save_motion(motion, tmp_path / "ok.mot")
+        return tmp_path / "ok.mot", assets.MAGIC_MOTION
+    if kind == "bundle":
+        tex = assets.load_texture(workdir / "tex.gtx")
+        deform.save_bundle(deform.init_bundle(rig, tex, n_frames=1), tmp_path / "ok.stu")
+        return tmp_path / "ok.stu", deform.MAGIC_BUNDLE
+    return workdir / "tex.gtx", assets.MAGIC_TEXTURE
+
+
+# (file kind, section, malformed value from the good sections); each once
+# ended in a KeyError, IndexError or an unnamed matmul error
+MALFORMED = {
+    "cam_mode_code": ("motion", "cam_mode", lambda s: np.full_like(s["cam_mode"], 9)),
+    "cam_resolution_1d": ("motion", "cam_resolution", lambda s: s["cam_resolution"].reshape(-1)),
+    "epsilon_short": ("motion", "epsilon", lambda s: s["epsilon"][:-1]),
+    "cam_clip_one_column": ("motion", "cam_clip", lambda s: s["cam_clip"][:, :1]),
+    "cam_params_flat": ("motion", "cam_params", lambda s: s["cam_params"].reshape(-1)),
+    "z_short": ("motion", "z", lambda s: s["z"][:-1]),
+    "texture_meta_one": ("texture", "meta", lambda s: s["meta"][:1]),
+    "z_table_1d": ("bundle", "z_table", lambda s: s["z_table"][0]),
+    "net_weight_1d": ("bundle", "sb.0.w", lambda s: s["sb.0.w"].reshape(-1)),
+    "net_input_width": ("bundle", "sb.0.w", lambda s: s["sb.0.w"][:-1]),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "config_not_utf8"])
+def test_malformed_input_exits_3_with_one_error_line(workdir, tmp_path, case, capsys):
+    from meshsplat import container
+
+    files = {"template": workdir / "rig.tpl", "texture": workdir / "tex.gtx"}
+    argv = ["render", "--res", "16x16", "--out", str(tmp_path / "x.ppm")]
+    if case == "config_not_utf8":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"res=16x16\n\xff\xfe\n")
+        argv = ["--config", str(cfg)] + argv
+        section = None
+    else:
+        kind, section, bad = MALFORMED[case]
+        good, magic = _good_file(workdir, tmp_path, kind)
+        sections = container.read_sections(good, magic)
+        sections[section] = np.ascontiguousarray(bad(sections))
+        files[kind] = tmp_path / f"bad.{kind}"
+        container.write_sections(files[kind], magic, sections)
+    for kind, path in files.items():
+        argv += [f"--{kind}", str(path)]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if section is not None:
+        assert f"'{section}'" in lines[0]
+    assert not (tmp_path / "x.ppm").exists()

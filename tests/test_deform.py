@@ -287,6 +287,49 @@ def test_bundle_roundtrip_fp16(tmp_path, random_bundle):
     assert np.array_equal(back.body_mlp[0][0], q.body_mlp[0][0])
 
 
+def test_bundle_fields_are_its_arrays():
+    # every size and the precision are read from these seven arrays
+    assert [f.name for f in dataclasses.fields(deform.StudentBundle)] == [
+        "body_mlp", "cloth_mlp", "head_map", "body_map", "blend_pos", "blend_col", "z_table"]
+
+
+def test_parent_layout_bundle_loads(tmp_path, random_bundle):
+    # files written before the sizes were read from the arrays carry a
+    # ``meta`` section; the loader ignores it
+    from meshsplat import container
+
+    p = tmp_path / "b.stu"
+    deform.save_bundle(random_bundle, p)
+    sections = container.read_sections(p, deform.MAGIC_BUNDLE)
+    assert "meta" not in sections
+    sections["meta"] = np.array([6, random_bundle.theta_dim, random_bundle.eps_dim, 32, 8, 20, 0], np.int32)
+    container.write_sections(p, deform.MAGIC_BUNDLE, sections)
+    back = deform.load_bundle(p)
+    for net in ("body_mlp", "cloth_mlp", "head_map", "body_map"):
+        for (w1, b1), (w2, b2) in zip(getattr(random_bundle, net), getattr(back, net)):
+            assert np.array_equal(w1, w2) and np.array_equal(b1, b2)
+    for name in ("blend_pos", "blend_col", "z_table"):
+        assert np.array_equal(getattr(back, name), getattr(random_bundle, name))
+    for name in ("pe_bands", "theta_dim", "eps_dim", "embed_dim", "n_head", "n_body", "input_dim", "precision"):
+        assert getattr(back, name) == getattr(random_bundle, name), name
+
+
+def test_partly_retrained_quantized_bundle_stays_fp16(tmp_path, random_bundle):
+    # finetuning a quantized bundle replaces only the map nets, in float32
+    from meshsplat.train import quantize_bundle
+
+    q, _ = quantize_bundle(random_bundle)
+    mixed = dataclasses.replace(q, head_map=[(w.astype(np.float32), b.astype(np.float32)) for w, b in q.head_map],
+                                body_map=[(w.astype(np.float32), b.astype(np.float32)) for w, b in q.body_map])
+    assert mixed.precision == "fp16"
+    p = tmp_path / "m.stu"
+    deform.save_bundle(mixed, p)
+    back = deform.load_bundle(p)
+    assert back.precision == "fp16"
+    assert all(w.dtype == np.float16 and b.dtype == np.float16
+               for net in (back.body_mlp, back.cloth_mlp, back.head_map, back.body_map) for w, b in net)
+
+
 def test_bundle_dimension_validation(clothed_rig, clothed_texture, bundle):
     other = assets.make_capsule_rig(8, cloth=True, seed=0)
     with pytest.raises(assets.ValidationError):

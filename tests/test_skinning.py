@@ -156,8 +156,8 @@ def test_transfer_coincident_vertex_copies_row(rig):
 def test_transfer_centroid_averages_corners(rig):
     f = rig.faces[40].astype(int)
     centroid = rig.vertices[f].mean(axis=0, keepdims=True)
-    # no smoothing so the barycentric average is exact
-    idx, w = skinning.transfer_skin_weights(rig, centroid, np.zeros((0, 3), np.uint32), smooth_iters=0)
+    # a garment without faces is not smoothed, so the barycentric average is exact
+    idx, w = skinning.transfer_skin_weights(rig, centroid, np.zeros((0, 3), np.uint32))
     dense = rig.dense_skin_weights()[f].mean(axis=0)
     got = np.zeros_like(dense)
     for k in range(8):

@@ -4,6 +4,12 @@ import pytest
 from meshsplat import assets, splat, teacher, train
 
 
+def test_teacher_source_holds_only_frames():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(teacher.TeacherSource)] == ["frames"]
+
+
 def test_field_none_zero_maps(clothed_rig, clothed_texture, motion):
     src = teacher.procedural_teacher(clothed_rig, clothed_texture, motion,
                                      field="none", amplitude=0.0, map_resolution=48)

@@ -299,8 +299,7 @@ def test_bake_gradient_isolation_lambda_zero(tiny_setup):
     doctored = teacher.TeacherSource(
         frames=[teacher.TeacherFrame(
             dmap=dataclasses.replace(f.dmap, front=f.dmap.front + 123.0),
-            gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames],
-        map_resolution=src.map_resolution)
+            gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames])
     b1, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
     b2, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), doctored, mot, cfg)
     for (w1, bb1), (w2, bb2) in zip(b1.body_mlp, b2.body_mlp):
@@ -313,8 +312,7 @@ def test_bake_nan_teacher_aborts_with_checkpoint(tiny_setup):
     bad = teacher.TeacherSource(
         frames=[teacher.TeacherFrame(
             dmap=f.dmap, gt_color=np.full_like(f.gt_color, np.nan),
-            gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames],
-        map_resolution=src.map_resolution)
+            gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames])
     cfg = train.TrainConfig(iterations=3, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     with pytest.raises(train.TrainingDiverged) as ei:
@@ -340,7 +338,7 @@ def test_bake_mask_disagreement_warning(tiny_setup, tmp_path):
         shrunk.append(teacher.TeacherFrame(
             dmap=dataclasses.replace(f.dmap, front_mask=fm),
             gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask))
-    bad = teacher.TeacherSource(shrunk, src.map_resolution)
+    bad = teacher.TeacherSource(shrunk)
     cfg = train.TrainConfig(iterations=1, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     _, _, hist = train.bake(t, tex, _bundle_for(t, tex, mot), bad, mot, cfg)
@@ -378,7 +376,7 @@ def _assert_bake_fixed_point(t, tex0, mot):
     bundle = deform.init_bundle(t, tex0, n_frames=len(mot), seed=5)
     front, back, bounds = splat.map_caches(t.vertices, t.faces, 48)
     dmap = splat.apply_map_caches(front, back, bounds, np.zeros_like(t.vertices))
-    gt = teacher.TeacherSource(_own_renders(t, tex0, bundle, mot, dmap), 48)
+    gt = teacher.TeacherSource(_own_renders(t, tex0, bundle, mot, dmap))
     cfg = train.TrainConfig(iterations=12, map_resolution=48,
                             weights=train.LossWeights(nor=0.0, non=0.0, sem=0.0))
     baked, tex, hist = train.bake(t, tex0, bundle, gt, mot, cfg)
