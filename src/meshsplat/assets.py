@@ -45,6 +45,16 @@ def _f32(a):
     return np.ascontiguousarray(a, dtype=np.float32)
 
 
+def _non_finite(**arrays) -> str | None:
+    """The name of the first array that holds a NaN or an infinity
+    (``None`` arrays are skipped), else None. Range checks need this
+    first: every comparison with NaN is False."""
+    for name, arr in arrays.items():
+        if arr is not None and not np.isfinite(arr).all():
+            return name
+    return None
+
+
 # ---------------------------------------------------------------------------
 # RiggedTemplate
 
@@ -126,6 +136,9 @@ class RiggedTemplate:
         V = v.shape[0]
         if self.skin_idx.shape != (V, MAX_INFLUENCES) or self.skin_w.shape != (V, MAX_INFLUENCES):
             raise ValidationError("skin arrays must be [V,8]")
+        if bad := _non_finite(joint_rest=self.joint_rest, skin_w=self.skin_w, seg_colors=self.seg_colors,
+                              expression_basis=self.expression_basis):
+            raise ValidationError(f"non-finite values in {bad}")
         if (self.skin_w < 0).any() or (self.skin_w > 1 + 1e-6).any():
             raise ValidationError("skin weights must lie in [0,1]")
         if ((self.skin_idx < 0) & (self.skin_w != 0)).any():
@@ -234,15 +247,15 @@ class GaussianTexture:
             )
         if G and int(self.face_idx.max()) >= self.num_faces:
             raise ValidationError(f"face index {int(self.face_idx.max())} out of range (F={self.num_faces})")
+        if bad := _non_finite(uv=self.uv, gamma=self.gamma, rotation=self.rotation, log_scale=self.log_scale,
+                              opacity_logit=self.opacity_logit, sh=self.sh):
+            raise ValidationError(f"non-finite values in {bad}")
         if (self.uv < -1e-6).any() or (self.uv.sum(axis=1) > 1 + 1e-6).any():
             raise ValidationError("barycentric uv outside the unit triangle")
         norms = np.linalg.norm(self.rotation, axis=1)
         bad = np.abs(norms - 1.0) > 1e-6
         if bad.any():
             raise ValidationError(f"quaternion {int(np.argmax(bad))} has norm {norms[np.argmax(bad)]:.8f}")
-        for name in ("gamma", "log_scale", "opacity_logit", "sh"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValidationError(f"non-finite values in {name}")
 
 
 def save_texture(texture: GaussianTexture, path) -> None:
@@ -289,6 +302,7 @@ ORTHO_FRONT = 1
 ORTHO_BACK = 2
 _CAM_MODES = {"perspective": PERSPECTIVE, "ortho-front": ORTHO_FRONT, "ortho-back": ORTHO_BACK}
 _CAM_MODE_NAMES = {v: k for k, v in _CAM_MODES.items()}
+UP = np.array([0.0, 0.0, 1.0])  # the world's up axis, which every rig stands along
 
 
 @dataclass
@@ -314,24 +328,24 @@ class Camera:
         w, h = self.resolution
         if w <= 0 or h <= 0:
             raise ValidationError("resolution must be positive")
-        if self.mode == "perspective":
-            if self.params[0] <= 0 or self.params[1] <= 0:
-                raise ValidationError("focal lengths must be positive")
-        else:
-            if self.params[0] <= 0 or self.params[1] <= 0:
-                raise ValidationError("orthographic extents must be positive")
+        if bad := _non_finite(params=self.params, extrinsic=self.extrinsic):
+            raise ValidationError(f"non-finite values in camera {bad}")
+        if self.params[0] <= 0 or self.params[1] <= 0:
+            what = "focal lengths" if self.mode == "perspective" else "orthographic extents"
+            raise ValidationError(f"{what} must be positive")
         if not (0 < self.near < self.far):
             raise ValidationError("need 0 < near < far")
         if self.extrinsic.shape != (4, 4):
             raise ValidationError("extrinsic must be 4x4")
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """World->camera rigid transform with z-forward, y-down convention."""
+def look_at(eye, target) -> np.ndarray:
+    """World->camera rigid transform with z-forward, y-down convention;
+    the world's ``UP`` points up in the image."""
     eye = np.asarray(eye, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - eye
     fwd = fwd / np.linalg.norm(fwd)
-    right = np.cross(fwd, np.asarray(up, dtype=np.float64))
+    right = np.cross(fwd, UP)
     n = np.linalg.norm(right)
     if n < 1e-9:
         raise ValueError("view direction parallel to up vector")
@@ -399,6 +413,8 @@ class MotionSequence:
         for i, f in enumerate(self.frames):
             if f.theta.shape != d0 or f.epsilon.shape != e0:
                 raise ValidationError(f"frame {i} dimensions differ from frame 0")
+            if bad := _non_finite(theta=f.theta, epsilon=f.epsilon, root=f.root, z=f.z):
+                raise ValidationError(f"frame {i}: non-finite values in {bad}")
         for c in self.cameras:
             c.validate()
 

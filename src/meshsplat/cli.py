@@ -251,7 +251,7 @@ def cmd_finetune(args) -> int:
     _run_preflight_gate(args)
     cfg = _train_config(args, train_mod.LossWeights(ssim=args.lambda_ssim))
     try:
-        bundle, history = train_mod.finetune(t, tex, bundle, src.frames, motion, cfg)
+        bundle, history = train_mod.finetune(t, tex, bundle, src, motion, cfg)
     except train_mod.TrainingDiverged as e:
         deform.save_bundle(e.bundle, args.out)
         print(f"error: {e}", file=sys.stderr)

@@ -379,8 +379,9 @@ def load_bundle(path) -> StudentBundle:
     """Read a bundle and check that its arrays fit together: each net's
     layers chain, the deformation nets take ``input_dim`` =
     ``pe_dim(3, PE_BANDS) + theta_dim + embed_dim`` inputs and give 3
-    outputs, and the blend shapes are ``[G,3,n_head+n_body]``. A section
-    that breaks this raises ``ContainerError`` naming it."""
+    outputs, the blend shapes are ``[G,3,n_head+n_body]``, and every
+    array is finite. A section that breaks this raises ``ContainerError``
+    naming it."""
     s = container.read_sections(path, MAGIC_BUNDLE)
     nets = {prefix: _net_from_sections(prefix, s, path) for prefix in ("sb", "sc", "maph", "mapb")}
     bundle = StudentBundle(
@@ -407,4 +408,8 @@ def load_bundle(path) -> StudentBundle:
     n = bundle.n_head + bundle.n_body
     G = container.require_shape(s, "blend_pos", (None, 3, n), path).shape[0]
     container.require_shape(s, "blend_col", (G, 3, n), path)
+    layers = [f"{prefix}.{i}.{k}" for prefix, net in nets.items() for i in range(len(net)) for k in "wb"]
+    for name in (*layers, "blend_pos", "blend_col", "z_table"):
+        if not np.isfinite(s[name]).all():
+            raise container.ContainerError(f"section '{name}' holds non-finite values", path=path)
     return bundle

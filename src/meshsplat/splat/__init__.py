@@ -36,8 +36,6 @@ U16_BINS = 65535
 class RenderTarget:
     """Composited output channels; absent channels are None."""
 
-    width: int
-    height: int
     color: np.ndarray | None = None      # [H,W,3]
     alpha: np.ndarray | None = None      # [H,W]
     normal: np.ndarray | None = None     # [H,W,3]
@@ -136,8 +134,7 @@ def render(
     values, layout = _gather_values(gaussians, channels)
     out, _, _, _ = splat_forward(gaussians.means, gaussians.rot_mats, gaussians.scales,
                                  gaussians.opacity, values, camera, sort_mode)
-    W, H = camera.resolution
-    target = RenderTarget(width=W, height=H, alpha=out[:, :, -1])
+    target = RenderTarget(alpha=out[:, :, -1])
     for ch, (a, b) in layout.items():
         block = out[:, :, a:b]
         setattr(target, ch, block[:, :, 0] if b - a == 1 else block)

@@ -1,24 +1,27 @@
-"""Teacher sources for distillation.
+"""Teacher ground truth for distillation.
 
-The procedural teacher applies an analytic pose-dependent deformation
-field, rasterizes it to front/back canonical maps, and renders
-pseudo-ground-truth images through the same pipeline the student uses,
-so the baking loss has a reachable optimum. Ground-truth images are
+A teacher is a list of ``TeacherFrame``s, one per motion frame: the
+deformation maps ``train.bake`` distills and the color, normal and mask
+images both training stages fit. The procedural teacher builds that list
+from an analytic pose-dependent deformation field, rasterized to
+front/back canonical maps, and renders its images through the same
+pipeline the student uses, so the baking loss has a reachable optimum.
+``ingest_teacher`` reads an exported list back. Ground-truth images are
 quantized to 8-bit at construction, which makes file export lossless:
-an exported-then-ingested source is bit-identical to the in-memory one.
+an exported-then-ingested list is bit-identical to the in-memory one.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import assets, deform, splat
 from .assets import (
     DeformationMap,
-    FrameInput,
     GaussianTexture,
     MotionSequence,
     RiggedTemplate,
@@ -38,46 +41,23 @@ class TeacherFrame:
     gt_mask: np.ndarray | None    # [H,W] bool
 
 
-@dataclass
-class TeacherSource:
-    frames: list[TeacherFrame]
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
-@dataclass
-class DeformationField:
-    """Analytic per-vertex field: delta(theta) = amplitude * sin(gain *
-    <theta, u>) * spatial profile * direction, masked to one component."""
-
-    kind: str
-    amplitude: float
-    phase_dir: np.ndarray    # [D] unit
-    direction: np.ndarray    # [3] unit (sway) or None (breathing: radial)
-    profile: np.ndarray      # [V] spatial falloff
-    mask: np.ndarray         # [V] component mask
-    radial: np.ndarray | None = None  # [V,3] outward xy directions
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        if self.kind == "none" or self.amplitude == 0.0:
-            return np.zeros((self.profile.shape[0], 3), dtype=np.float32)
-        phase = PHASE_GAIN * float(theta.astype(np.float64) @ self.phase_dir)
-        s = self.amplitude * np.sin(phase)
-        w = (self.profile * self.mask)[:, None]
-        if self.kind == "sway":
-            return (s * w * self.direction[None, :]).astype(np.float32)
-        return (s * w * self.radial).astype(np.float32)
-
-
-def make_field(template: RiggedTemplate, kind: str, amplitude: float, seed: int = 0) -> DeformationField:
+def make_field(template: RiggedTemplate, kind: str, amplitude: float,
+               seed: int = 0) -> Callable[[np.ndarray], np.ndarray]:
+    """Analytic per-vertex field ``theta -> [V,3]`` float32:
+    ``amplitude * sin(PHASE_GAIN * <theta, u>) * profile * mask *
+    direction`` with ``u`` a random unit pose direction. ``sway`` moves
+    the cloth along one random horizontal direction, falling off from
+    the waist down; ``breathing`` moves the body radially in a band
+    around the chest. ``none``, or an amplitude of 0, is zero."""
     if kind not in FIELDS:
         raise ValidationError(f"unknown teacher field '{kind}' (choose from {FIELDS})")
     if amplitude < 0:
         raise ValidationError("amplitude must be nonnegative")
+    V = template.num_vertices
+    if kind == "none" or amplitude == 0.0:
+        return lambda theta: np.zeros((V, 3), dtype=np.float32)
     rng = np.random.default_rng(seed)
-    D = template.theta_dim
-    phase_dir = rng.normal(size=D)
+    phase_dir = rng.normal(size=template.theta_dim)
     phase_dir /= np.linalg.norm(phase_dir)
     z = template.vertices[:, 2].astype(np.float64)
 
@@ -90,18 +70,22 @@ def make_field(template: RiggedTemplate, kind: str, amplitude: float, seed: int 
             z_top, z_bot = z.max(), z.min()
         profile = np.clip((z_top - z) / max(z_top - z_bot, 1e-9), 0.0, 1.0)
         ang = rng.uniform(0, 2 * np.pi)
-        direction = np.array([np.cos(ang), np.sin(ang), 0.0])
-        return DeformationField(kind, amplitude, phase_dir, direction, profile, mask)
-    if kind == "breathing":
+        direction = np.array([[np.cos(ang), np.sin(ang), 0.0]])
+    else:
         mask = 1.0 - template.cloth_mask.astype(np.float64)
         z_mid = 0.55 * (z.max() - z.min()) + z.min()
         width = 0.15 * (z.max() - z.min())
         profile = np.exp(-0.5 * ((z - z_mid) / width) ** 2)
         r = template.vertices[:, :2].astype(np.float64)
         norm = np.linalg.norm(r, axis=1, keepdims=True)
-        radial = np.concatenate([r / np.maximum(norm, 1e-9), np.zeros((len(z), 1))], axis=1)
-        return DeformationField(kind, amplitude, phase_dir, None, profile, mask, radial=radial)
-    return DeformationField(kind, 0.0, phase_dir, np.zeros(3), np.zeros(len(z)), np.zeros(len(z)))
+        direction = np.concatenate([r / np.maximum(norm, 1e-9), np.zeros((V, 1))], axis=1)
+    w = (profile * mask)[:, None]
+
+    def field(theta: np.ndarray) -> np.ndarray:
+        s = amplitude * np.sin(PHASE_GAIN * float(theta.astype(np.float64) @ phase_dir))
+        return (s * w * direction).astype(np.float32)
+
+    return field
 
 
 def quantize_images(color: np.ndarray, normal: np.ndarray):
@@ -119,7 +103,7 @@ def procedural_teacher(
     amplitude: float = 0.0,
     seed: int = 0,
     map_resolution: int = 128,
-) -> TeacherSource:
+) -> list[TeacherFrame]:
     """Analytic teacher over a motion sequence.
 
     Per frame: the field's canonical deltas interpolated to front/back
@@ -138,7 +122,7 @@ def procedural_teacher(
         mask = target.alpha > 0.5
         color, normal = quantize_images(target.color, target.normal)
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))
-    return TeacherSource(frames=frames)
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +133,10 @@ def procedural_teacher(
 # paths relative to the manifest's directory.
 
 
-def export_teacher(source: TeacherSource, out_dir) -> str:
+def export_teacher(frames: list[TeacherFrame], out_dir) -> str:
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    for t, tf in enumerate(source.frames):
+    for t, tf in enumerate(frames):
         if tf.dmap is None or tf.gt_normal is None or tf.gt_mask is None:
             raise ValidationError(f"frame {t} is incomplete; cannot export")
         names = (f"frame{t:05d}.dmap", f"frame{t:05d}_color.ppm",
@@ -168,10 +152,10 @@ def export_teacher(source: TeacherSource, out_dir) -> str:
     return manifest
 
 
-def ingest_teacher(manifest_path) -> TeacherSource:
-    """Load an externally produced teacher; identical interface to the
-    procedural one. Missing files and mixed resolutions are reported with
-    their frame index."""
+def ingest_teacher(manifest_path) -> list[TeacherFrame]:
+    """Load an externally produced teacher as the same frame list the
+    procedural one gives. Missing files and mixed resolutions are
+    reported with their frame index."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     with open(manifest_path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -200,4 +184,4 @@ def ingest_teacher(manifest_path) -> TeacherSource:
         if dmap.front.shape[0] != map_res:
             raise ValidationError(f"frame {t}: map resolution {dmap.front.shape[0]} != {map_res}")
         frames.append(TeacherFrame(dmap=dmap, gt_color=color, gt_normal=normal, gt_mask=mask))
-    return TeacherSource(frames=frames)
+    return frames

@@ -1,9 +1,11 @@
 """The two training stages.
 
-Baking distills teacher deformation maps into the student MLPs while
-refining Gaussian local attributes against teacher renders; fine-tuning
-freezes the deformation field and fits the mapping networks and blend
-shapes. Both stages run the runtime's student networks through
+Both stages take their ground truth as one list of
+``teacher.TeacherFrame``s, one per motion frame. Baking distills the
+frames' deformation maps into the student MLPs while refining Gaussian
+local attributes against their images; fine-tuning freezes the
+deformation field and fits the mapping networks and blend shapes to the
+same images. Both stages run the runtime's student networks through
 ``ops.mlp`` and splat the runtime's posed Gaussians, differentiated
 through ``ops.bind``, in a per-frame graph over the autodiff engine, and
 step Adam with per-group learning rates.
@@ -26,6 +28,7 @@ from ..assets import (
 )
 from ..gstexture import local_to_world, triangle_frames
 from ..skinning import vertex_transforms
+from ..teacher import TeacherFrame
 from . import losses, ops
 from .engine import Tensor, concat, constant
 from .optim import DEFAULT_LRS, Adam
@@ -33,9 +36,6 @@ from .optim import DEFAULT_LRS, Adam
 SEM_ALPHA_THRESHOLD = 1e-3
 # steps between the last-good snapshots that TrainingDiverged carries
 CHECKPOINT_EVERY = 200
-# frame embeddings exist to absorb registration error; decay keeps them
-# from shortcutting pose-dependent structure the MLPs should own
-WEIGHT_DECAY = {"embeddings": 1.0}
 # the texture attributes bake refines, by their ``ops.bind`` names; no
 # gradient reaches rotation or scale (no covariance backward)
 ATTRIBUTES = ("opacity_logit", "sh", "gamma")
@@ -211,26 +211,24 @@ def bake(
     template: RiggedTemplate,
     texture: GaussianTexture,
     bundle: deform.StudentBundle,
-    teacher,
+    frames: list[TeacherFrame],
     sequence: MotionSequence,
     config: TrainConfig,
 ) -> tuple[deform.StudentBundle, GaussianTexture, list[dict]]:
-    """Distill the teacher into the student field and refine local
-    attributes. Returns (bundle, texture, history); the inputs are not
-    mutated. Blend shapes stay frozen at zero during this stage. Each
+    """Distill the teacher's frames into the student field and refine
+    local attributes. Returns (bundle, texture, history); the inputs are
+    not mutated. Blend shapes stay frozen at zero during this stage. Each
     step splats ``deform.pose_frame`` at the current deltas and
     attributes, differentiated through ``ops.bind``.
     """
     config.validate()
     bundle.validate_for(template, texture)
     weights = config.weights
-    if len(teacher.frames) != len(sequence):
-        raise ValidationError(
-            f"teacher supplies {len(teacher.frames)} frames, sequence has {len(sequence)}"
-        )
+    if len(frames) != len(sequence):
+        raise ValidationError(f"teacher supplies {len(frames)} frames, sequence has {len(sequence)}")
 
     front_cache, back_cache, _ = splat.map_caches(template.vertices, template.faces, config.map_resolution)
-    for t, tf in enumerate(teacher.frames):
+    for t, tf in enumerate(frames):
         if tf.dmap is None:
             raise ValidationError(f"teacher frame {t} carries no deformation maps")
         if tf.dmap.front.shape[0] != front_cache.height or tf.dmap.front.shape[1] != front_cache.width:
@@ -238,7 +236,7 @@ def bake(
                 f"teacher frame {t}: map resolution {tf.dmap.front.shape[:2]} != config {config.map_resolution}"
             )
     disagreeing = [
-        t for t, tf in enumerate(teacher.frames)
+        t for t, tf in enumerate(frames)
         if max(losses.mask_disagreement(front_cache.mask, tf.dmap.front_mask),
                losses.mask_disagreement(back_cache.mask, tf.dmap.back_mask)) > 0.2
     ]
@@ -260,7 +258,7 @@ def bake(
     }
     if not config.freeze_embeddings:
         groups["embeddings"] = [params["z_table"]]
-    opt = Adam(groups, lrs=config.lrs, weight_decay=WEIGHT_DECAY)
+    opt = Adam(groups, lrs=config.lrs)
 
     def snapshot():
         b = replace(
@@ -280,7 +278,7 @@ def bake(
     def frame_loss(t):
         frame = sequence.frames[t]
         camera = sequence.camera_for(t)
-        tf = teacher.frames[t]
+        tf = frames[t]
 
         delta_t = student_delta_graph(params, template, bundle, frame, t)
         # the runtime's pose and binding at the student's current deltas
@@ -347,7 +345,7 @@ def finetune(
     template: RiggedTemplate,
     texture: GaussianTexture,
     bundle: deform.StudentBundle,
-    gt_frames: list,
+    gt_frames: list[TeacherFrame],
     sequence: MotionSequence,
     config: TrainConfig,
 ) -> tuple[deform.StudentBundle, list[dict]]:
@@ -393,7 +391,6 @@ def finetune(
             "blend_col": [params["C"]],
         },
         lrs={**config.lrs, "blend_pos": blend_lr * edge, "blend_col": blend_lr},
-        weight_decay=WEIGHT_DECAY,
     )
 
     def snapshot():
@@ -446,20 +443,21 @@ def finetune(
 def evaluate_nonrigid(
     template: RiggedTemplate,
     bundle: deform.StudentBundle,
-    teacher,
+    frames: list[TeacherFrame],
     sequence: MotionSequence,
-    map_resolution: int = 128,
 ) -> float:
-    """Mean front+back map L1 against a teacher over a (held-out)
-    sequence, driving novel frames with the z_0 convention."""
-    front_cache, back_cache, _ = splat.map_caches(template.vertices, template.faces, map_resolution)
+    """Mean front+back map L1 against a teacher's frames over a
+    (held-out) sequence, driving novel frames with the z_0 convention.
+    The maps are rasterized at the frames' own resolution."""
+    front_cache, back_cache, _ = splat.map_caches(template.vertices, template.faces,
+                                                  frames[0].dmap.front.shape[0])
     total = 0.0
     for t, frame in enumerate(sequence.frames):
         novel = FrameInput(frame.theta, frame.epsilon, frame.root, bundle.z_table[0])
         delta = deform.student_deform(bundle, template, novel)
         sf, _ = front_cache.apply(delta)
         sb, _ = back_cache.apply(delta)
-        tf = teacher.frames[t]
+        tf = frames[t]
         l = losses.loss_nonrigid(constant(sf.astype(np.float64)), constant(sb.astype(np.float64)), tf.dmap)
         total += float(l.data)
     return total / len(sequence)

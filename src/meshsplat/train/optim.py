@@ -17,11 +17,16 @@ DEFAULT_LRS = {
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # groups stepped row by row: frame-indexed embedding tables
 SPARSE_ROWS = ("embeddings",)
+# decoupled decay per group: frame embeddings exist to absorb
+# registration error, and decay keeps them from shortcutting
+# pose-dependent structure the MLPs should own
+WEIGHT_DECAY = {"embeddings": 1.0}
 
 
 class Adam:
-    """Adam with decoupled per-group weight decay and sparse-row
-    semantics.
+    """Adam with decoupled per-group weight decay (``WEIGHT_DECAY``) and
+    sparse-row semantics. Every group needs a learning rate: from
+    ``lrs`` or ``DEFAULT_LRS`` by its name.
 
     Groups named in ``SPARSE_ROWS`` (embedding tables indexed by frame)
     update only rows whose gradient is nonzero this step; dense Adam
@@ -33,8 +38,7 @@ class Adam:
     weight decay), both summed in float64.
     """
 
-    def __init__(self, groups: dict[str, list[Tensor]], lrs: dict[str, float] | None = None,
-                 weight_decay: dict[str, float] | None = None):
+    def __init__(self, groups: dict[str, list[Tensor]], lrs: dict[str, float] | None = None):
         self.groups = groups
         unknown = sorted(set(lrs or {}) - set(groups) - set(DEFAULT_LRS))
         if unknown:
@@ -42,7 +46,9 @@ class Adam:
         # Python floats: under NumPy 2 promotion a NumPy float64 scalar
         # would turn float32 parameters into float64
         self.lrs = {k: float(v) for k, v in {**DEFAULT_LRS, **(lrs or {})}.items()}
-        self.weight_decay = {k: float(v) for k, v in (weight_decay or {}).items()}
+        missing = sorted(set(groups) - set(self.lrs))
+        if missing:
+            raise ValidationError(f"no learning rate for parameter groups {', '.join(missing)}")
         self.t = 0
         self.norms: dict[str, float] = {}
         self.m = {}
@@ -67,8 +73,8 @@ class Adam:
         c2 = 1.0 - b2 ** self.t
         self.norms = {}
         for name, params in self.groups.items():
-            lr = self.lrs.get(name, 1e-3)
-            wd = self.weight_decay.get(name, 0.0)
+            lr = self.lrs[name]
+            wd = WEIGHT_DECAY.get(name, 0.0)
             g_sq = u_sq = 0.0
             for i, p in enumerate(params):
                 if p.grad is None:

@@ -207,14 +207,14 @@ def test_criterion_5_baking_reproduction(toy):
                             freeze_embeddings=True)
     bundle0 = deform.init_bundle(rig, tex, n_frames=len(train_mot), seed=5)
     baked, _, hist = train.bake(rig, tex, bundle0, src, train_mot, cfg)
-    heldout = train.evaluate_nonrigid(rig, baked, ho_src, hold_mot, MAP_RES)
-    baseline = train.evaluate_nonrigid(rig, bundle0, ho_src, hold_mot, MAP_RES)
+    heldout = train.evaluate_nonrigid(rig, baked, ho_src, hold_mot)
+    baseline = train.evaluate_nonrigid(rig, bundle0, ho_src, hold_mot)
 
     # ablation: no direct map supervision
     cfg_ablate = dataclasses.replace(cfg, weights=train.LossWeights(non=0.0, sem=0.0))
     ablated, _, _ = train.bake(rig, tex, deform.init_bundle(rig, tex, n_frames=len(train_mot), seed=5),
                                src, train_mot, cfg_ablate)
-    heldout_ablated = train.evaluate_nonrigid(rig, ablated, ho_src, hold_mot, MAP_RES)
+    heldout_ablated = train.evaluate_nonrigid(rig, ablated, ho_src, hold_mot)
 
     # zero-deformation teacher converges to a near-zero field
     zero_src = teacher.procedural_teacher(rig, tex, train_mot, field="none", amplitude=0.0,
@@ -222,7 +222,7 @@ def test_criterion_5_baking_reproduction(toy):
     cfg_zero = dataclasses.replace(cfg, iterations=600)
     zeroed, _, _ = train.bake(rig, tex, deform.init_bundle(rig, tex, n_frames=len(train_mot), seed=5),
                               zero_src, train_mot, cfg_zero)
-    zero_train = train.evaluate_nonrigid(rig, zeroed, zero_src, train_mot, MAP_RES)
+    zero_train = train.evaluate_nonrigid(rig, zeroed, zero_src, train_mot)
 
     elapsed = time.time() - t0
     ok = (heldout < 5e-3 and baseline > 5e-3 and zero_train < 1e-3

@@ -324,6 +324,8 @@ def _good_file(workdir, tmp_path, kind):
         tex = assets.load_texture(workdir / "tex.gtx")
         deform.save_bundle(deform.init_bundle(rig, tex, n_frames=1), tmp_path / "ok.stu")
         return tmp_path / "ok.stu", deform.MAGIC_BUNDLE
+    if kind == "template":
+        return workdir / "rig.tpl", assets.MAGIC_TEMPLATE
     return workdir / "tex.gtx", assets.MAGIC_TEXTURE
 
 
@@ -341,6 +343,51 @@ MALFORMED = {
     "net_weight_1d": ("bundle", "sb.0.w", lambda s: s["sb.0.w"].reshape(-1)),
     "net_input_width": ("bundle", "sb.0.w", lambda s: s["sb.0.w"][:-1]),
 }
+
+
+# (file kind, section that gets one NaN, what the error line names);
+# comparisons with NaN are False, so range checks alone pass these
+NON_FINITE = {
+    "uv": ("texture", "uv", "non-finite values in uv"),
+    "rotation": ("texture", "rotation", "non-finite values in rotation"),
+    "skin_w": ("template", "skin_w", "non-finite values in skin_w"),
+    "joint_rest": ("template", "joint_rest", "non-finite values in joint_rest"),
+    "seg_colors": ("template", "seg_colors", "non-finite values in seg_colors"),
+    "expression_basis": ("template", "expression_basis", "non-finite values in expression_basis"),
+    "cam_params": ("motion", "cam_params", "non-finite values in camera params"),
+    "cam_extrinsic": ("motion", "cam_extrinsic", "non-finite values in camera extrinsic"),
+    "theta": ("motion", "theta", "frame 0: non-finite values in theta"),
+    "epsilon": ("motion", "epsilon", "frame 0: non-finite values in epsilon"),
+    "root": ("motion", "root", "frame 0: non-finite values in root"),
+    "z": ("motion", "z", "frame 0: non-finite values in z"),
+    "blend_col": ("bundle", "blend_col", "section 'blend_col' holds non-finite values"),
+    "net_bias": ("bundle", "sb.0.b", "section 'sb.0.b' holds non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_input_exits_3_with_one_error_line(workdir, tmp_path, case, capsys):
+    from meshsplat import container
+
+    kind, section, named = NON_FINITE[case]
+    good, magic = _good_file(workdir, tmp_path, kind)
+    sections = container.read_sections(good, magic)
+    bad = sections[section].copy()
+    bad.flat[0] = np.nan
+    sections[section] = bad
+    files = {"template": workdir / "rig.tpl", "texture": workdir / "tex.gtx", kind: tmp_path / f"bad.{kind}"}
+    container.write_sections(files[kind], magic, sections)
+    out = tmp_path / "x.ppm"
+    argv = ["render", "--res", "16x16", "--out", str(out)]
+    for k, path in files.items():
+        argv += [f"--{k}", str(path)]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", [*MALFORMED, "config_not_utf8"])

@@ -4,16 +4,10 @@ import pytest
 from meshsplat import assets, splat, teacher, train
 
 
-def test_teacher_source_holds_only_frames():
-    import dataclasses
-
-    assert [f.name for f in dataclasses.fields(teacher.TeacherSource)] == ["frames"]
-
-
 def test_field_none_zero_maps(clothed_rig, clothed_texture, motion):
     src = teacher.procedural_teacher(clothed_rig, clothed_texture, motion,
                                      field="none", amplitude=0.0, map_resolution=48)
-    for f in src.frames:
+    for f in src:
         assert np.all(f.dmap.front[f.dmap.front_mask] == 0)
         assert np.all(f.dmap.back[f.dmap.back_mask] == 0)
 
@@ -23,7 +17,7 @@ def test_sway_amplitude_doubles_maps(clothed_rig, clothed_texture, motion):
                                    field="sway", amplitude=0.05, seed=4, map_resolution=48)
     b = teacher.procedural_teacher(clothed_rig, clothed_texture, motion,
                                    field="sway", amplitude=0.10, seed=4, map_resolution=48)
-    for fa, fb in zip(a.frames, b.frames):
+    for fa, fb in zip(a, b):
         assert abs(np.abs(fb.dmap.front).max() - 2.0 * np.abs(fa.dmap.front).max()) < 1e-5
 
 
@@ -32,7 +26,7 @@ def test_teacher_maps_match_deformation_maps(clothed_rig, clothed_texture, motio
                                      field="sway", amplitude=0.1, seed=4, map_resolution=40)
     f = teacher.make_field(clothed_rig, "sway", 0.1, seed=4)
     caches = splat.map_caches(clothed_rig.vertices, clothed_rig.faces, 40)
-    for frame, tf in zip(motion.frames, src.frames):
+    for frame, tf in zip(motion.frames, src):
         want = splat.apply_map_caches(*caches, f(frame.theta))
         for name in ("front", "back", "front_mask", "back_mask", "bounds"):
             a, b = getattr(tf.dmap, name), getattr(want, name)
@@ -73,7 +67,7 @@ def test_export_ingest_bit_identical(tmp_path, clothed_rig, clothed_texture, mot
     manifest = teacher.export_teacher(src, tmp_path / "teacher")
     back = teacher.ingest_teacher(manifest)
     assert len(back) == len(src)
-    for a, b in zip(src.frames, back.frames):
+    for a, b in zip(src, back):
         assert np.array_equal(a.dmap.front, b.dmap.front)
         assert np.array_equal(a.dmap.front_mask, b.dmap.front_mask)
         assert np.array_equal(a.gt_color, b.gt_color)
@@ -113,7 +107,7 @@ def test_ingest_mixed_resolution_rejected(tmp_path, clothed_rig, clothed_texture
                                      field="none", map_resolution=32)
     manifest = teacher.export_teacher(src, tmp_path / "teacher")
     # shrink one frame's color image
-    splat.write_ppm(src.frames[1].gt_color[:-8], tmp_path / "teacher" / "frame00001_color.ppm")
+    splat.write_ppm(src[1].gt_color[:-8], tmp_path / "teacher" / "frame00001_color.ppm")
     with pytest.raises(assets.ValidationError, match="frame 1"):
         teacher.ingest_teacher(manifest)
 
@@ -128,5 +122,5 @@ def test_ingest_empty_manifest_rejected(tmp_path):
 def test_gt_images_are_u8_quantized(clothed_rig, clothed_texture, motion):
     src = teacher.procedural_teacher(clothed_rig, clothed_texture, motion,
                                      field="none", map_resolution=32)
-    c = src.frames[0].gt_color
+    c = src[0].gt_color
     assert np.abs(c * 255.0 - np.rint(c * 255.0)).max() < 1e-4

@@ -239,8 +239,7 @@ def test_adam_keeps_float32_with_numpy_scalar_lr():
     # NumPy 2 promotes float32 - np.float64 * float32 to float64
     p = train.Tensor(np.ones((3, 2), np.float32), requires_grad=True)
     p.grad = np.full((3, 2), 0.5, np.float32)
-    opt = train.Adam({"mlp": [p]}, lrs={"mlp": np.float64(1e-3)},
-                     weight_decay={"mlp": np.float64(0.1)})
+    opt = train.Adam({"mlp": [p]}, lrs={"mlp": np.float64(1e-3)})
     opt.step()
     assert p.data.dtype == np.float32
     assert np.all(p.data < 1.0)
@@ -257,6 +256,14 @@ def test_adam_rejects_lr_of_unknown_group(tiny_setup):
         train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
     # a default group's name is accepted whether or not the stage has it
     train.Adam({"mlp": [p]}, lrs={"mlp": 0.0, "blend": 0.0, "attributes": 0.0})
+
+
+def test_adam_rejects_group_without_lr():
+    # such a group would otherwise step at some fallback rate nobody set
+    p = train.Tensor(np.ones(3, np.float32), requires_grad=True)
+    with pytest.raises(assets.ValidationError, match="no learning rate for parameter groups blend_pos"):
+        train.Adam({"mlp": [p], "blend_pos": [p]}, lrs={"mlp": 1e-3})
+    train.Adam({"mlp": [p], "blend_pos": [p]}, lrs={"blend_pos": 1e-3})
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +303,9 @@ def test_bake_gradient_isolation_lambda_zero(tiny_setup):
     t, tex, mot, src = tiny_setup
     cfg = train.TrainConfig(iterations=2, map_resolution=48,
                             weights=train.LossWeights(non=0.0, sem=0.0))
-    doctored = teacher.TeacherSource(
-        frames=[teacher.TeacherFrame(
-            dmap=dataclasses.replace(f.dmap, front=f.dmap.front + 123.0),
-            gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames])
+    doctored = [teacher.TeacherFrame(
+        dmap=dataclasses.replace(f.dmap, front=f.dmap.front + 123.0),
+        gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src]
     b1, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
     b2, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), doctored, mot, cfg)
     for (w1, bb1), (w2, bb2) in zip(b1.body_mlp, b2.body_mlp):
@@ -309,10 +315,9 @@ def test_bake_gradient_isolation_lambda_zero(tiny_setup):
 
 def test_bake_nan_teacher_aborts_with_checkpoint(tiny_setup):
     t, tex, mot, src = tiny_setup
-    bad = teacher.TeacherSource(
-        frames=[teacher.TeacherFrame(
-            dmap=f.dmap, gt_color=np.full_like(f.gt_color, np.nan),
-            gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames])
+    bad = [teacher.TeacherFrame(
+        dmap=f.dmap, gt_color=np.full_like(f.gt_color, np.nan),
+        gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src]
     cfg = train.TrainConfig(iterations=3, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
     with pytest.raises(train.TrainingDiverged) as ei:
@@ -332,16 +337,15 @@ def test_bake_requires_matching_map_resolution(tiny_setup):
 def test_bake_mask_disagreement_warning(tiny_setup, tmp_path):
     t, tex, mot, src = tiny_setup
     shrunk = []
-    for f in src.frames:
+    for f in src:
         fm = f.dmap.front_mask.copy()
         fm[: fm.shape[0] // 2] = False  # drop half the valid pixels
         shrunk.append(teacher.TeacherFrame(
             dmap=dataclasses.replace(f.dmap, front_mask=fm),
             gt_color=f.gt_color, gt_normal=f.gt_normal, gt_mask=f.gt_mask))
-    bad = teacher.TeacherSource(shrunk)
     cfg = train.TrainConfig(iterations=1, map_resolution=48,
                             weights=train.LossWeights(sem=0.0))
-    _, _, hist = train.bake(t, tex, _bundle_for(t, tex, mot), bad, mot, cfg)
+    _, _, hist = train.bake(t, tex, _bundle_for(t, tex, mot), shrunk, mot, cfg)
     assert any("warning" in rec for rec in hist)
     # the --log line keeps the warning and its frames as key=value tokens
     p = tmp_path / "log.txt"
@@ -376,7 +380,7 @@ def _assert_bake_fixed_point(t, tex0, mot):
     bundle = deform.init_bundle(t, tex0, n_frames=len(mot), seed=5)
     front, back, bounds = splat.map_caches(t.vertices, t.faces, 48)
     dmap = splat.apply_map_caches(front, back, bounds, np.zeros_like(t.vertices))
-    gt = teacher.TeacherSource(_own_renders(t, tex0, bundle, mot, dmap))
+    gt = _own_renders(t, tex0, bundle, mot, dmap)
     cfg = train.TrainConfig(iterations=12, map_resolution=48,
                             weights=train.LossWeights(nor=0.0, non=0.0, sem=0.0))
     baked, tex, hist = train.bake(t, tex0, bundle, gt, mot, cfg)
@@ -418,7 +422,7 @@ def test_training_log_carries_group_norms(tiny_setup, tmp_path):
     t, tex, mot, src = tiny_setup
     cfg = train.TrainConfig(iterations=2, map_resolution=48)
     _, _, baked = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
-    _, tuned = train.finetune(t, tex, _bundle_for(t, tex, mot), src.frames, mot,
+    _, tuned = train.finetune(t, tex, _bundle_for(t, tex, mot), src, mot,
                               train.TrainConfig(iterations=2))
     for hist, groups in ((baked, ("mlp", "attributes", "embeddings")),
                          (tuned, ("mlp", "blend_pos", "blend_col"))):
@@ -545,7 +549,7 @@ def test_finetune_first_step_bounded_in_output_units(tiny_setup):
     bundle = _bundle_for(t, tex, mot)
     lr = 1e-3
     cfg = train.TrainConfig(iterations=1, lrs={"blend": lr})
-    tuned, _ = train.finetune(t, tex, bundle, src.frames, mot, cfg)
+    tuned, _ = train.finetune(t, tex, bundle, src, mot, cfg)
     z = [np.abs(deform.blend_coeffs(bundle, f)).sum() for f in mot.frames]
     edge = gstexture.triangle_frames(t.vertices, t.faces)[1][tex.face_idx.astype(np.int64)].mean()
     col_lr = lr / max(np.mean(z), 1.0)
@@ -587,7 +591,7 @@ def test_finetune_batch_record_is_mean_of_frames(tiny_setup):
 
     def hist(iterations, batch_size):
         cfg = train.TrainConfig(iterations=iterations, batch_size=batch_size, lrs=_FROZEN_LRS)
-        return train.finetune(t, tex, bundle, src.frames, mot, cfg)[1]
+        return train.finetune(t, tex, bundle, src, mot, cfg)[1]
 
     r0, r1 = hist(2, 1)
     (batched,) = hist(1, 2)
@@ -598,7 +602,7 @@ def test_finetune_nan_gt_aborts_with_input_state(tiny_setup):
     t, tex, mot, src = tiny_setup
     bundle = _bundle_for(t, tex, mot)
     bad = [teacher.TeacherFrame(dmap=None, gt_color=np.full_like(f.gt_color, np.nan),
-                                gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src.frames]
+                                gt_normal=f.gt_normal, gt_mask=f.gt_mask) for f in src]
     cfg = train.TrainConfig(iterations=3)
     with pytest.raises(train.TrainingDiverged) as ei:
         train.finetune(t, tex, bundle, bad, mot, cfg)
@@ -620,7 +624,7 @@ def test_finetune_rejects_bake_only_settings(tiny_setup, setting, name):
     t, tex, mot, src = tiny_setup
     cfg = train.TrainConfig(iterations=1, **setting)
     with pytest.raises(assets.ValidationError, match=name):
-        train.finetune(t, tex, _bundle_for(t, tex, mot), src.frames, mot, cfg)
+        train.finetune(t, tex, _bundle_for(t, tex, mot), src, mot, cfg)
 
 
 def test_every_training_op_is_preflight_checked(tiny_setup, monkeypatch):
@@ -637,7 +641,7 @@ def test_every_training_op_is_preflight_checked(tiny_setup, monkeypatch):
     monkeypatch.setattr(engine.Function, "apply", classmethod(recording))
     bundle, _, _ = train.bake(t, tex, _bundle_for(t, tex, mot), src, mot,
                               train.TrainConfig(iterations=2, map_resolution=48))
-    train.finetune(t, tex, bundle, src.frames, mot, train.TrainConfig(iterations=2))
+    train.finetune(t, tex, bundle, src, mot, train.TrainConfig(iterations=2))
     trained = set(built)
     built.clear()
     for check in train.SUITES.values():
