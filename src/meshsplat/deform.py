@@ -258,6 +258,7 @@ class PosedFrame:
 
     posed_verts: np.ndarray       # [V,3] f32
     skeleton: PosedSkeleton
+    transforms: np.ndarray        # [V,4,4] f64, the skeleton's ``vertex_transforms``
     world: WorldGaussians
 
 
@@ -295,12 +296,12 @@ def pose_frame(
     if vertex_delta is not None:
         delta = delta + vertex_delta
     skeleton = pose_skeleton(template, frame)
-    posed = lbs_forward(template, skeleton, delta)
+    posed, transforms = lbs_forward(template, skeleton, delta)
     world = local_to_world(
         texture, posed, template.faces,
         delta_u=delta_u, delta_c=delta_c, **splat.camera_view(camera),
     )
-    return PosedFrame(posed_verts=posed, skeleton=skeleton, world=world)
+    return PosedFrame(posed_verts=posed, skeleton=skeleton, transforms=transforms, world=world)
 
 
 def animate_frame(

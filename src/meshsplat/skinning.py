@@ -108,8 +108,11 @@ def lbs_forward(
     template: RiggedTemplate,
     skeleton: PosedSkeleton,
     per_vertex_delta: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pose canonical vertices: sum_j w_ij M_j (v_i + delta_i); float64 for a float64 delta."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pose canonical vertices: sum_j w_ij M_j (v_i + delta_i); float64 for
+    a float64 delta. Returns (posed [V,3], the ``vertex_transforms`` [V,4,4]
+    that posed them), so a caller that also needs the per-vertex matrices
+    does not build them again."""
     v = template.vertices.astype(np.float64)
     if per_vertex_delta is not None:
         if per_vertex_delta.shape != v.shape:
@@ -119,7 +122,7 @@ def lbs_forward(
         v = v + per_vertex_delta.astype(np.float64)
     A = vertex_transforms(template, skeleton)
     posed = np.einsum("vab,vb->va", A[:, :3, :3], v) + A[:, :3, 3]
-    return posed.astype(np.float32 if per_vertex_delta is None else np.result_type(np.float32, per_vertex_delta))
+    return posed.astype(np.float32 if per_vertex_delta is None else np.result_type(np.float32, per_vertex_delta)), A
 
 
 def lbs_inverse(
@@ -315,7 +318,7 @@ def build_clothed_template(
         return body
 
     skeleton = pose_skeleton(body, ref_frame)
-    posed_body = lbs_forward(body, skeleton)
+    posed_body, _ = lbs_forward(body, skeleton)
 
     verts = [body.vertices]
     faces = [body.faces]

@@ -32,24 +32,27 @@ centre and (du, dv) a Gaussian's mean, both relative to the tile centre,
 the exponent -0.5 * mahalanobis^2 is a quadratic in (u, v): a row of six
 per-Gaussian coefficients (``_exponent_coefs``) times the pixel's
 monomials [1, u, v, u^2, v^2, uv] (``FEATURES``, one constant for every
-full tile), built with each pair's opacity for all pairs before the tile
-loop. A chunk's exponents are one [n, 6] @ [6, m] BLAS product of a slice
-of those rows, and the cutoff, exp, opacity and clamp run in place on
-that buffer. The expansion rounds differently from the direct form by a
-few ulps of its constant term, which is at most
-0.5 * (3 + (TILE / 2) * sqrt(2 / EIG_FLOOR))^2, about 170, wherever a
-weight is non-zero: the weights agree with the direct form to about
-1e-13.
+full tile). ``tile_pairs`` builds the pair table (each kept pair's
+offset (du, dv), conic and exponent row) from the float64 columns its
+cull already gathered, and carries it through the tile sort, so the
+compositor reads each chunk's rows as one slice. A chunk's exponents are
+one [n, 6] @ [6, m] BLAS product of that slice, and the cutoff, exp,
+opacity and clamp run in place on that buffer. The expansion rounds
+differently from the direct form by a few ulps of its constant term,
+which is at most 0.5 * (3 + (TILE / 2) * sqrt(2 / EIG_FLOOR))^2, about
+170, wherever a weight is non-zero: the weights agree with the direct
+form to about 1e-13.
 
-The cache keeps the float64 inputs that were composited, and each
-chunk's Gaussians, alive pixels, weights w and contributions w * T (the
-product the forward composites), so the backward pass needs only the
-image gradient. It walks a tile's chunks back to front, carrying each
-pixel's suffix sum of w * T * P (P the pixel's gradient dotted with the
-Gaussian's values and alpha) over the later chunks, and emits the exact
-gradient of the truncated forward for per-Gaussian channel values,
-opacities, and 2D means (the weight exponent path); the 2D covariance is
-held fixed. With S_i the strict suffix sum behind Gaussian i,
+The cache keeps the pair table, the float64 values that were
+composited, and each chunk's pair range, alive pixels, weights w and
+contributions w * T (the product the forward composites), so the
+backward pass needs only the image gradient. It walks a tile's chunks
+back to front, carrying each pixel's suffix sum of w * T * P (P the
+pixel's gradient dotted with the Gaussian's values and alpha) over the
+later chunks, and emits the exact gradient of the truncated forward for
+per-Gaussian channel values, opacities, and 2D means (the weight
+exponent path); the 2D covariance is held fixed. With S_i the strict
+suffix sum behind Gaussian i,
 dL/dw_i * w_i = w_i T_i P_i - S_i w_i / (1 - w_i). The opacity and mean
 gradients need that only through its moments M over [1, u, v], one
 [n, m] @ [m, 3] product: dL/dopacity = M_1 / opacity and
@@ -72,17 +75,20 @@ CHUNK = 256        # Gaussians in a tile's first chunk; each later chunk doubles
 
 @dataclass
 class TileCache:
-    """Everything backward needs: the composited Gaussians in float64 and
-    one entry per non-empty tile."""
+    """Everything backward needs: the composited values in float64, the
+    pair table in tile order (each pair's Gaussian, its offset from the
+    tile centre, conic and opacity, float64) and one entry per non-empty
+    tile, whose chunks name their pairs by range."""
 
     width: int
     height: int
-    means2d: np.ndarray  # [N,2]
-    conic: np.ndarray    # [N,3]
-    opacity: np.ndarray  # [N]
     values: np.ndarray   # [N,C]
+    gauss: np.ndarray    # [P]
+    offset: np.ndarray   # [P,2]
+    conic: np.ndarray    # [P,3]
+    opacity: np.ndarray  # [P]
     tiles: list          # (x0, y0, chunks) per tile, front to back
-                         # chunk: (ids [n], alive px [m], w [n, m], w * T [n, m])
+                         # chunk: (pairs slice(s, e), alive px [m], w [n, m], w * T [n, m])
 
 
 # Pixel centres of a full tile relative to its centre, (u, v), and the
@@ -97,12 +103,6 @@ def _tile_features(w_px: int, h_px: int) -> np.ndarray:
     """``FEATURES`` of the pixels of a tile ``w_px`` wide and ``h_px`` high
     (a view for a full tile)."""
     return FEATURES.reshape(6, TILE, TILE)[:, :h_px, :w_px].reshape(6, -1)
-
-
-def _tile_offsets(means, x0, y0) -> np.ndarray:
-    """Means relative to the centre of the tile at (x0, y0), the origin of
-    ``FEATURES``'s (u, v); one tile, or one per row. [n, 2]."""
-    return means - np.stack([x0 + TILE / 2, y0 + TILE / 2], axis=-1)
 
 
 def _exponent_coefs(conic, offset):
@@ -164,13 +164,14 @@ def _box_pairs(x0, x1, y0, y1, depth):
     return tx, np.repeat(ty, row_cols), np.repeat(front_to_back[row_of], row_cols)
 
 
-def _by_tile(tx, ty, gauss, width, height):
-    """(tile_of_pair, gauss_of_pair), grouped by tile in their order. The
-    ids sort as the least type that holds them, which numpy radix-sorts."""
+def _by_tile(tx, ty, width, height):
+    """(tile id of each pair grouped by tile, the stable permutation that
+    groups them). The ids sort as the least type that holds them, which
+    numpy radix-sorts."""
     ntx, nty = (width + TILE - 1) // TILE, (height + TILE - 1) // TILE
     tile = ty * ntx + tx
     order = np.argsort(tile.astype(np.min_scalar_type(ntx * nty - 1)), kind="stable")
-    return tile[order], gauss[order]
+    return tile[order], order
 
 
 def bin_gaussians(means2d, radius, depth, width, height):
@@ -178,7 +179,9 @@ def bin_gaussians(means2d, radius, depth, width, height):
     (tile_of_pair, gauss_of_pair) of every tile of each Gaussian's
     radius square, grouped by tile and ordered front to back, ties broken
     by index."""
-    return _by_tile(*_box_pairs(*_radius_boxes(means2d, radius, width, height), depth), width, height)
+    tx, ty, gauss = _box_pairs(*_radius_boxes(means2d, radius, width, height), depth)
+    tile_of, order = _by_tile(tx, ty, width, height)
+    return tile_of, gauss[order]
 
 
 def _ellipse_boxes(means2d, conic, radius, width, height):
@@ -209,10 +212,28 @@ def _edge_min(a, b, c, d, lo, hi):
     return a * d * d + (2.0 * b * d + c * t) * t
 
 
+def _reaches_tile(tx, ty, mx, my, a, b, c, width, height):
+    """Per pair, whether the least Mahalanobis^2 over the box of its
+    tile's pixel centres is within the cutoff (``tile_pairs``' cull)."""
+    # pixel-centre box of each pair's tile, relative to its Gaussian's mean
+    x_lo = tx * TILE + 0.5 - mx
+    x_hi = np.minimum(tx * TILE + TILE, width) - 0.5 - mx
+    y_lo = ty * TILE + 0.5 - my
+    y_hi = np.minimum(ty * TILE + TILE, height) - 0.5 - my
+    q_min = np.minimum(_edge_min(a, b, c, np.clip(0.0, x_lo, x_hi), y_lo, y_hi),
+                       _edge_min(c, b, a, np.clip(0.0, y_lo, y_hi), x_lo, x_hi))
+    return q_min <= CUTOFF_SIGMA_SQ * (1.0 + 1e-6)
+
+
 def tile_pairs(means2d, conic, radius, depth, width, height):
-    """The (tile -> gaussian) pair lists ``composite`` walks: the pairs of
+    """The (tile -> gaussian) pair lists ``composite`` walks and their
+    table: (tile_of, gauss_of, offset [P, 2], conic [P, 3], coefs [P, 6])
+    per pair, the last three float64: the offset (du, dv) of the
+    Gaussian's mean from its tile's centre, its conic, and the exponent
+    row ``_exponent_coefs`` of the two. The pairs are those of
     ``bin_gaussians`` that can reach a pixel centre of their tile, in the
-    same order. Each Gaussian's pairs are expanded over the box of its
+    same order, and the table is built from the columns the cull
+    gathered. Each Gaussian's pairs are expanded over the box of its
     3-sigma ellipse within its radius square (``_ellipse_boxes``), which
     holds every pair the cull keeps, and the cull runs on them before the
     tile sort, so only the survivors are sorted.
@@ -231,15 +252,13 @@ def tile_pairs(means2d, conic, radius, depth, width, height):
     # per pair, each input column gathered from a contiguous copy of it
     mx, my, a, b, c = (np.ascontiguousarray(col, np.float64)[gauss]
                        for col in (*np.asarray(means2d).T, *np.asarray(conic).T))
-    # pixel-centre box of each pair's tile, relative to its Gaussian's mean
-    x_lo = tx * TILE + 0.5 - mx
-    x_hi = np.minimum(tx * TILE + TILE, width) - 0.5 - mx
-    y_lo = ty * TILE + 0.5 - my
-    y_hi = np.minimum(ty * TILE + TILE, height) - 0.5 - my
-    q_min = np.minimum(_edge_min(a, b, c, np.clip(0.0, x_lo, x_hi), y_lo, y_hi),
-                       _edge_min(c, b, a, np.clip(0.0, y_lo, y_hi), x_lo, x_hi))
-    keep = q_min <= CUTOFF_SIGMA_SQ * (1.0 + 1e-6)
-    return _by_tile(tx[keep], ty[keep], gauss[keep], width, height)
+    keep = np.flatnonzero(_reaches_tile(tx, ty, mx, my, a, b, c, width, height))
+    tile_of, order = _by_tile(tx[keep], ty[keep], width, height)
+    kept = keep[order]
+    tx, ty = tx[kept], ty[kept]
+    offset = np.stack([mx[kept] - (tx * TILE + TILE / 2), my[kept] - (ty * TILE + TILE / 2)], axis=1)
+    conic_of = np.stack([a[kept], b[kept], c[kept]], axis=1)
+    return tile_of, gauss[kept], offset, conic_of, _exponent_coefs(conic_of, offset)
 
 
 def composite(
@@ -262,30 +281,22 @@ def composite(
     n, n_values = values.shape
     out_dtype = np.result_type(means2d.dtype, np.float32)
     out = np.zeros((height, width, n_values + 1), dtype=np.float64)
-    means64 = means2d.astype(np.float64)
-    conic64 = conic.astype(np.float64)
-    op64 = opacity.astype(np.float64)
     val64 = values.astype(np.float64)
-    cache = TileCache(width, height, means64, conic64, op64, val64, []) if keep_cache else None
-    if n == 0:
-        return out.astype(out_dtype), cache
-
-    tile_of, gauss_of = tile_pairs(means2d, conic, radius, depth, width, height)
+    tile_of, gauss_of, offset_of, conic_of, coefs_of = tile_pairs(means2d, conic, radius, depth, width, height)
+    op_of = opacity.astype(np.float64)[gauss_of]
+    cache = TileCache(width, height, val64, gauss_of, offset_of, conic_of, op_of, []) if keep_cache else None
+    del offset_of, conic_of  # only the cache reads these; freed before the tile loop
     if tile_of.size == 0:
         return out.astype(out_dtype), cache
     boundaries = np.flatnonzero(np.diff(tile_of)) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [tile_of.size]])
-    ntx = (width + TILE - 1) // TILE
-    ty_of, tx_of = np.divmod(tile_of, ntx)  # per pair: coefficients about its tile's centre
-    offsets = _tile_offsets(means64[gauss_of], tx_of * TILE, ty_of * TILE)
-    coefs_of, op_of = _exponent_coefs(conic64[gauss_of], offsets), op64[gauss_of]
+    ty_of, tx_of = np.divmod(tile_of[starts], (width + TILE - 1) // TILE)
     v_max = np.abs(val64).max(initial=1.0)
     val_ext = np.concatenate([val64, np.ones((n, 1))], axis=1)  # alpha composites a 1
 
     for k in range(len(starts)):
-        ty, tx = int(ty_of[starts[k]]), int(tx_of[starts[k]])
-        x0, y0 = tx * TILE, ty * TILE
+        x0, y0 = int(tx_of[k]) * TILE, int(ty_of[k]) * TILE
         w_px, h_px = min(TILE, width - x0), min(TILE, height - y0)
         feats = _tile_features(w_px, h_px)
         trans = np.ones(w_px * h_px)
@@ -295,8 +306,8 @@ def composite(
         s, size = starts[k], CHUNK
         while s < ends[k] and alive.size:
             e = min(s + size, ends[k])
-            ids = gauss_of[s:e]
-            w = _weights(coefs_of[s:e], op_of[s:e], feats[:, alive])
+            pairs, ids = slice(s, e), gauss_of[s:e]
+            w = _weights(coefs_of[pairs], op_of[pairs], feats[:, alive])
             s, size = e, 2 * size
             # the carried T heads the running product, which then rounds
             # exactly as one product over the whole list would
@@ -308,7 +319,7 @@ def composite(
             acc[:, alive] += val_ext[ids].T @ wt
             trans[alive] = run[-1]
             if keep_cache:
-                chunks.append((ids, alive, w, wt))
+                chunks.append((pairs, alive, w, wt))
             alive = alive[run[-1] * v_max > STOP_BOUND]
         out[y0 : y0 + h_px, x0 : x0 + w_px] = acc.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0)
         if keep_cache:
@@ -322,20 +333,19 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
 
     ``d_out`` is [H, W, C+1] including the alpha channel. Covariance, the
     compositing order and the pixels' stopping points are treated as
-    constants. Each chunk leaves one row per Gaussian (its value
-    gradients and its moments over [1, u, v]); after the tile loop one
-    ``bincount`` per output column sums the rows in (tile, back-to-front
-    chunk) order, the order of a per-chunk scatter-add.
+    constants. Each chunk fills its pairs' rows of the pair table's
+    value-gradient and moment columns (the pairs behind every pixel's
+    stop keep zero rows); the mean gradient reads each pair's offset and
+    conic from the table, and one ``bincount`` per output column sums
+    the rows in pair order. A Gaussian has at most one pair per tile, so
+    its rows add in tile order, as a per-chunk scatter-add would, and
+    the zero rows leave every sum's bits as they are.
     """
     n, n_values = cache.values.shape
-    means64, conic64 = cache.means2d, cache.conic
-    op64 = np.maximum(cache.opacity, 1e-12)
     val_ext = np.concatenate([cache.values, np.ones((n, 1))], axis=1)
     clamped = _may_clamp(cache.opacity)  # else no weight reached W_MAX
-    # per chunk: its Gaussians, their value-gradient and moment rows and
-    # its tile's origin, after an empty entry that serves an empty cache
-    rows_ids, rows_val = [np.empty(0, np.int64)], [np.empty((0, n_values))]
-    rows_mom, rows_origin = [np.empty((0, 3))], [np.empty((0, 2))]
+    d_val = np.zeros((cache.gauss.size, n_values))
+    mom = np.zeros((cache.gauss.size, 3))
 
     for (x0, y0, chunks) in cache.tiles:
         w_px, h_px = min(TILE, cache.width - x0), min(TILE, cache.height - y0)
@@ -347,18 +357,18 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             .reshape(n_values + 1, -1)
         )  # [C+1, npx]
         later = np.zeros(w_px * h_px)  # per pixel: sum of w T P over later chunks
-        for ids, alive, w, wt in reversed(chunks):
+        for pairs, alive, w, wt in reversed(chunks):
             g = g_tile[:, alive]
 
             # channel-value gradients: dL/dv_ic = sum_px g_c * w_i T_i
-            rows_val.append(wt @ g[:n_values].T)
+            d_val[pairs] = wt @ g[:n_values].T
 
             # dL/dw_i * w_i = m_i - S_i w_i / (1 - w_i) with m = w T P and
             # S_i the strict suffix sum of m; the later chunks' sum heads
             # the running sum, which then rounds as one over the whole list
-            m = val_ext[ids] @ g  # P [n_i, alive]
+            m = val_ext[cache.gauss[pairs]] @ g  # P [n_i, alive]
             m *= wt
-            run = np.empty((ids.size + 1, alive.size))
+            run = np.empty((m.shape[0] + 1, alive.size))
             run[0] = later[alive]
             run[1:] = m[::-1]
             np.cumsum(run, axis=0, out=run)
@@ -373,15 +383,11 @@ def composite_backward(cache: TileCache, d_out: np.ndarray):
             # w = op exp(K F), so dL/dop = sum_px dww / op and dL/dmean =
             # conic (x - mean) summed against dww: both from the moments of
             # dww over the tile-local pixel coordinates [1, u, v]
-            rows_mom.append(dww @ feats[:, alive].T)  # [n_i, 3]
-            rows_ids.append(ids)
-            rows_origin.append(np.broadcast_to([x0, y0], (ids.size, 2)))
+            mom[pairs] = dww @ feats[:, alive].T  # [n_i, 3]
 
-    ids, mom = np.concatenate(rows_ids), np.concatenate(rows_mom)
-    origin = np.concatenate(rows_origin)
-    r = mom[:, 1:] - _tile_offsets(means64[ids], origin[:, 0], origin[:, 1]) * mom[:, :1]
-    cn = conic64[ids]
-    columns = [*np.concatenate(rows_val).T, mom[:, 0] / op64[ids],
+    r = mom[:, 1:] - cache.offset * mom[:, :1]
+    cn = cache.conic
+    columns = [*d_val.T, mom[:, 0] / np.maximum(cache.opacity, 1e-12),
                cn[:, 0] * r[:, 0] + cn[:, 1] * r[:, 1], cn[:, 1] * r[:, 0] + cn[:, 2] * r[:, 1]]
-    d = np.stack([np.bincount(ids, col, minlength=n) for col in columns], axis=1)
+    d = np.stack([np.bincount(cache.gauss, col, minlength=n) for col in columns], axis=1)
     return d[:, :n_values], d[:, n_values], d[:, n_values + 1:]

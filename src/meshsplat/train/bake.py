@@ -27,7 +27,6 @@ from ..assets import (
     ValidationError,
 )
 from ..gstexture import local_to_world, triangle_frames
-from ..skinning import vertex_transforms
 from ..teacher import TeacherFrame
 from . import losses, ops
 from .engine import Tensor, concat, constant
@@ -295,7 +294,7 @@ def bake(
             loss = parts["non"] * weights.non
 
         means, color, opacity = ops.bind(
-            world, skin=vertex_transforms(template, posed_frame.skeleton)[:, :3, :3], bary=bary,
+            world, skin=posed_frame.transforms[:, :3, :3], bary=bary,
             delta=delta_t, **{k: params[k] for k in ATTRIBUTES})
         values = concat([color, constant(world.normal), constant(sem_g)], axis=1)
 

@@ -44,7 +44,7 @@ def loss_dssim(pred: Tensor, gt: np.ndarray) -> Tensor:
     1.5) and the standard constants for unit dynamic range."""
     _check_same_shape(pred.data, gt)
     dtype = pred.data.dtype
-    return DSSIM.apply(pred, y=gt.astype(dtype), kernel=gaussian_window().astype(dtype), c1=SSIM_C1, c2=SSIM_C2)
+    return DSSIM.apply(pred, y=gt.astype(dtype, copy=False), kernel=gaussian_window().astype(dtype), c1=SSIM_C1, c2=SSIM_C2)
 
 
 def loss_masked_l1(pred: Tensor, gt: np.ndarray, mask: np.ndarray) -> Tensor:

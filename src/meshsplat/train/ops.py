@@ -103,20 +103,38 @@ class DSSIM(Function):
     B1 = mx² + my² + c1, A2 = 2 sxy + c2 and B2 = sx² + sy² + c2. The
     backward is closed-form through the blurred moments mx = G*x, G*x²
     and G*xy. At x = y, A1 == B1 and A2 == B2 bit for bit, so every term
-    of the gradient is exactly 0."""
+    of the gradient is exactly 0.
+
+    The blurs run only on the occupied window: the bounding box of the
+    pixels where ``x`` or ``y`` is non-zero, widened by 2r (r =
+    len(kernel) // 2) and clipped to the image. That is exact. More
+    than r from the content every blurred moment is exactly 0, so
+    A1 = B1 = c1, A2 = B2 = c2 and S = 1 exactly, and ``d_mu`` is
+    exactly 0; more than 2r away the gradient is exactly 0. Inside the
+    window each value reads only pixels within 2r of it, where the
+    crop's zero padding equals the image's own zeros. The one exception
+    is blur(S / A2) and blur(S / B2) within r of the crop's edge, which
+    multiply a ``y`` and an ``x`` that are 0 there. The loss is the mean
+    of a full-size S that holds 1 outside the window, so its float sum
+    is the full-frame sum, and the gradient is scaled by 1/N of the full
+    image. Two all-zero images run no blur."""
 
     def forward(self, x, y=None, kernel=None, c1=None, c2=None):
-        self.x = x
-        self.mu_x, self.mu_y = mu_x, mu_y = self._blur(x), self._blur(y)
-        sig_x = self._blur(x * x) - mu_x * mu_x
-        sig_y = self._blur(y * y) - mu_y * mu_y
-        sig_xy = self._blur(x * y) - mu_x * mu_y
-        self.a1 = mu_x * mu_y * 2.0 + c1
-        self.b1 = mu_x * mu_x + mu_y * mu_y + c1
-        self.a2 = sig_xy * 2.0 + c2
-        self.b2 = sig_x + sig_y + c2
-        self.s = self.a1 * self.a2 / (self.b1 * self.b2)
-        return np.asarray((1.0 - self.s.sum() * (1.0 / self.s.size)) * 0.5)
+        self.shape, self.dtype = x.shape, x.dtype
+        self.win = _occupied_window(x, y, 2 * (len(kernel) // 2))
+        s_full = np.ones(x.shape, x.dtype)
+        if self.win is not None:
+            self.x, self.y = x, y = x[self.win], y[self.win]
+            self.mu_x, self.mu_y = mu_x, mu_y = self._blur(x), self._blur(y)
+            sig_x = self._blur(x * x) - mu_x * mu_x
+            sig_y = self._blur(y * y) - mu_y * mu_y
+            sig_xy = self._blur(x * y) - mu_x * mu_y
+            self.a1 = mu_x * mu_y * 2.0 + c1
+            self.b1 = mu_x * mu_x + mu_y * mu_y + c1
+            self.a2 = sig_xy * 2.0 + c2
+            self.b2 = sig_x + sig_y + c2
+            s_full[self.win] = self.s = self.a1 * self.a2 / (self.b1 * self.b2)
+        return np.asarray((1.0 - s_full.sum() * (1.0 / s_full.size)) * 0.5)
 
     def _blur(self, img):
         kernel = self.kwargs["kernel"]
@@ -124,10 +142,25 @@ class DSSIM(Function):
         return correlate1d(out, kernel, axis=1, mode="constant", cval=0.0)
 
     def backward(self, g):
-        s, mu_x, mu_y, a2, b2 = self.s, self.mu_x, self.mu_y, self.a2, self.b2
-        d_mu = s * 2.0 * ((mu_y / self.a1 - mu_x / self.b1) + (mu_x / b2 - mu_y / a2))
-        dx = self._blur(d_mu) + (self.kwargs["y"] * self._blur(s / a2) - self.x * self._blur(s / b2)) * 2.0
-        return (dx * (g * -0.5 * (1.0 / s.size)),)
+        grad = np.zeros(self.shape, self.dtype)
+        if self.win is not None:
+            s, mu_x, mu_y, a2, b2 = self.s, self.mu_x, self.mu_y, self.a2, self.b2
+            d_mu = s * 2.0 * ((mu_y / self.a1 - mu_x / self.b1) + (mu_x / b2 - mu_y / a2))
+            grad[self.win] = self._blur(d_mu) + (self.y * self._blur(s / a2) - self.x * self._blur(s / b2)) * 2.0
+        return (grad * (g * -0.5 * (1.0 / grad.size)),)
+
+
+def _occupied_window(x, y, margin):
+    """The (row, column) slices of the bounding box of the pixels where
+    ``x`` or ``y`` is non-zero in any channel, widened by ``margin`` and
+    clipped to the image; None where both are all zero."""
+    occupied = (x != 0) | (y != 0)
+    occupied = occupied.reshape(*occupied.shape[:2], -1).any(axis=2)
+    rows, cols = np.flatnonzero(occupied.any(axis=1)), np.flatnonzero(occupied.any(axis=0))
+    if rows.size == 0:
+        return None
+    return (slice(max(rows[0] - margin, 0), rows[-1] + margin + 1),
+            slice(max(cols[0] - margin, 0), cols[-1] + margin + 1))
 
 
 class MLP(Function):

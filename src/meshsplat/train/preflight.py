@@ -134,9 +134,15 @@ def check_blend_shapes(seed: int = 3) -> GradReport:
 
 
 def check_dssim(seed: int = 4) -> GradReport:
+    """D-SSIM through its occupied window: 20 x 20 content at (4, 4) of a
+    36 x 36 zero frame. The window, the content widened by 2r = 10 px, is
+    clipped to the frame at the top and left and ends 2 px short of its
+    bottom and right, so the checked coordinates fall on the content, on
+    the zero band the window blurs and outside the window."""
     rng = np.random.default_rng(seed)
-    pred = rng.random((20, 20, 3))
-    gt = rng.random((20, 20, 3))
+    pred, gt = np.zeros((2, 36, 36, 3))
+    pred[4:24, 4:24] = rng.random((20, 20, 3))
+    gt[4:24, 4:24] = rng.random((20, 20, 3))
 
     def build(ts):
         return losses.loss_dssim(ts[0], gt)

@@ -10,9 +10,10 @@ world covariance first; the SH table spells out the real basis
 polynomials with their normalization constants in closed form; the mesh
 rasterizer reference fills a z-buffer one triangle at a time over each
 face's loop box, and its cache is applied by a gathered einsum and
-differentiated by ``np.add.at`` scatters. The weights of the dense
-references use the direct per-pixel exponent, not the package's
-tile-local quadratic form.
+differentiated by ``np.add.at`` scatters; D-SSIM blurs the whole
+frame, with no occupied window. The weights of the dense references
+use the direct per-pixel exponent, not the package's tile-local
+quadratic form.
 
 Also here, for the tests only: single-triangle and single-direction
 wrappers of the package's batched binding and SH functions.
@@ -21,6 +22,7 @@ wrappers of the package's batched binding and SH functions.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import correlate1d
 
 from meshsplat.assets import ValidationError
 from meshsplat.gstexture import sh_apply, sh_basis, triangle_frames
@@ -187,6 +189,32 @@ def reference_composite_backward(cache, means2d, conic, opacity, values, d_out):
         d_means[ids, 0] += (dww * gx).sum(axis=1)
         d_means[ids, 1] += (dww * gy).sum(axis=1)
     return d_values[:, :-1], d_values[:, -1], d_opacity, d_means
+
+
+def reference_dssim(x, y, kernel, c1, c2):
+    """Full-frame D-SSIM of ``x`` against ``y`` and its gradient w.r.t.
+    ``x`` (as the engine seeds it, with a unit output gradient): every
+    blur over the whole image, the closed-form backward of ``ops.DSSIM``
+    with no window."""
+    def blur(img):
+        out = correlate1d(img, kernel, axis=0, mode="constant", cval=0.0)
+        return correlate1d(out, kernel, axis=1, mode="constant", cval=0.0)
+
+    mu_x, mu_y = blur(x), blur(y)
+    sig_x = blur(x * x) - mu_x * mu_x
+    sig_y = blur(y * y) - mu_y * mu_y
+    sig_xy = blur(x * y) - mu_x * mu_y
+    a1 = mu_x * mu_y * 2.0 + c1
+    b1 = mu_x * mu_x + mu_y * mu_y + c1
+    a2 = sig_xy * 2.0 + c2
+    b2 = sig_x + sig_y + c2
+    s = a1 * a2 / (b1 * b2)
+    loss = np.asarray((1.0 - s.sum() * (1.0 / s.size)) * 0.5)
+
+    g = np.ones_like(loss)
+    d_mu = s * 2.0 * ((mu_y / a1 - mu_x / b1) + (mu_x / b2 - mu_y / a2))
+    dx = blur(d_mu) + (y * blur(s / a2) - x * blur(s / b2)) * 2.0
+    return loss, dx * (g * -0.5 * (1.0 / s.size))
 
 
 # real spherical harmonics with closed-form normalizations

@@ -52,7 +52,7 @@ def test_theta_dimension_mismatch(rig):
 
 def test_lbs_rest_identity(rig, rest_frame):
     sk = skinning.pose_skeleton(rig, rest_frame(rig))
-    posed = skinning.lbs_forward(rig, sk)
+    posed, _ = skinning.lbs_forward(rig, sk)
     assert np.abs(posed - rig.vertices).max() < 1e-6
 
 
@@ -81,7 +81,7 @@ def test_lbs_constant_delta_at_identity(rig, rest_frame):
     sk = skinning.pose_skeleton(rig, rest_frame(rig))
     c = np.array([0.01, -0.02, 0.03], dtype=np.float32)
     delta = np.tile(c, (rig.num_vertices, 1))
-    posed = skinning.lbs_forward(rig, sk, delta)
+    posed, _ = skinning.lbs_forward(rig, sk, delta)
     assert np.abs(posed - (rig.vertices + c)).max() < 1e-6
 
 
@@ -98,7 +98,7 @@ def test_lbs_inverse_roundtrip_random_poses(clothed_rig):
         theta = rng.normal(scale=0.35, size=clothed_rig.theta_dim)
         frame = _frame(clothed_rig, theta=theta)
         sk = skinning.pose_skeleton(clothed_rig, frame)
-        posed = skinning.lbs_forward(clothed_rig, sk)
+        posed, _ = skinning.lbs_forward(clothed_rig, sk)
         back, ill = skinning.lbs_inverse(clothed_rig, sk, posed, clothed_rig.skin_idx, clothed_rig.skin_w)
         assert not ill.any()
         assert np.abs(back - clothed_rig.vertices).max() < 1e-5
@@ -129,11 +129,11 @@ def test_lbs_equivariance_under_global_rigid_motion(clothed_rig):
     theta = rng.normal(scale=0.3, size=clothed_rig.theta_dim)
     frame = _frame(clothed_rig, theta=theta)
     sk = skinning.pose_skeleton(clothed_rig, frame)
-    posed = skinning.lbs_forward(clothed_rig, sk)
+    posed, _ = skinning.lbs_forward(clothed_rig, sk)
     for _ in range(20):
         g = random_rigid(rng)
         sk_g = skinning.PosedSkeleton((g @ sk.world.astype(np.float64)).astype(np.float32))
-        posed_g = skinning.lbs_forward(clothed_rig, sk_g)
+        posed_g, _ = skinning.lbs_forward(clothed_rig, sk_g)
         expect = posed @ g[:3, :3].T.astype(np.float32) + g[:3, 3].astype(np.float32)
         assert np.abs(posed_g - expect).max() < 1e-6 + 1e-6 * np.abs(expect).max()
 

@@ -343,7 +343,7 @@ def test_culled_pairs_have_zero_weight_over_their_tile(scene, request):
     args = _cull_scene(scene, request)
     means2d, conic, _, _, key, radius, width, height = args
     bin_t, bin_g = tiles.bin_gaussians(means2d, radius, key, width, height)
-    kept_t, kept_g = tiles.tile_pairs(means2d, conic, radius, key, width, height)
+    kept_t, kept_g = tiles.tile_pairs(means2d, conic, radius, key, width, height)[:2]
     kept = set(zip(kept_t.tolist(), kept_g.tolist()))
     mask = np.array([pair in kept for pair in zip(bin_t.tolist(), bin_g.tolist())], dtype=bool)
     assert np.array_equal(bin_t[mask], kept_t) and np.array_equal(bin_g[mask], kept_g)
@@ -389,7 +389,8 @@ def _tight_box_cases(width, height):
 @pytest.mark.parametrize("cloud", [0, 1, 40, 300, "tight_box"])
 def test_pair_lists_equal_reference_binning_and_cull(cloud, res):
     """``bin_gaussians`` is the oracle's lexsorted radius-square binning, and
-    ``tile_pairs`` that binning after the oracle's cull, array for array:
+    ``tile_pairs`` that binning after the oracle's cull, array for array,
+    with its pair table byte for byte:
     means up to 40 px off-screen, partial edge tiles, tied depth keys, and
     (``tight_box``) the ellipse boxes' edge cases."""
     width, height = res
@@ -411,6 +412,16 @@ def test_pair_lists_equal_reference_binning_and_cull(cloud, res):
         want = reference_cull(*want, args[0], args[1], width, height)
         got = tiles.tile_pairs(*args, width, height)
         assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+        # the pair table: each pair's offset from its tile's centre, conic
+        # and exponent row, as gathered and built from the inputs directly
+        tile_of, gauss_of, offset, conic_of, coefs = got
+        ntx = -(-width // tiles.TILE)
+        centre = np.stack([tile_of % ntx, tile_of // ntx], axis=1) * tiles.TILE + tiles.TILE / 2
+        want_offset = args[0].astype(np.float64)[gauss_of] - centre
+        want_conic = args[1].astype(np.float64)[gauss_of]
+        for g, w in ((offset, want_offset), (conic_of, want_conic),
+                     (coefs, tiles._exponent_coefs(want_conic, want_offset))):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
     if cloud == 300:  # the scene has ties, pairs off-screen means bring, and culled pairs
         assert np.unique(u16).size == 3
         off = (means2d < 0).any(axis=1) | (means2d >= res).any(axis=1)
@@ -882,7 +893,7 @@ def test_rasterize_matches_reference_on_maps(request, monkeypatch, rig_name, res
 
 def test_rasterize_matches_reference_under_perspective(monkeypatch, clothed_rig, motion):
     frame = motion.frames[3]
-    verts = skinning.lbs_forward(clothed_rig, skinning.pose_skeleton(clothed_rig, frame))
+    verts, _ = skinning.lbs_forward(clothed_rig, skinning.pose_skeleton(clothed_rig, frame))
     # the eye sits inside the body, so some faces are behind the near plane
     center = verts.mean(axis=0)
     eye = center + np.array([0.0, 0.3 * np.ptp(verts[:, 1]), 0.0])

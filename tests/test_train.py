@@ -8,6 +8,8 @@ from meshsplat import assets, deform, gstexture, splat, teacher, train
 from meshsplat.train import engine, losses, ops
 from meshsplat.train.bake import blend_coeffs_graph, student_delta_graph
 
+from oracles import reference_dssim
+
 
 # ---------------------------------------------------------------------------
 # losses
@@ -45,6 +47,57 @@ def test_dssim_positive_for_different_images():
     a = rng.random((20, 20, 3))
     b = rng.random((20, 20, 3))
     assert float(losses.loss_dssim(engine.constant(a), b).data) > 0.0
+
+
+# (rows, columns) of the non-zero content on a 52 x 56 frame; the window
+# is the content widened by 2r = 10 px
+DSSIM_CASES = {
+    "centred": (slice(22, 30), slice(24, 32)),      # a border of 22+ px
+    "top_edge": (slice(0, 8), slice(24, 32)),
+    "bottom_edge": (slice(44, 52), slice(24, 32)),
+    "left_edge": (slice(22, 30), slice(0, 8)),
+    "right_edge": (slice(22, 30), slice(48, 56)),
+    "near_corner": (slice(6, 14), slice(3, 11)),    # closer than 2r to two edges
+    "one_pixel": (slice(30, 31), slice(17, 18)),
+    "x_zero": (slice(22, 30), slice(24, 32)),
+    "y_zero": (slice(22, 30), slice(24, 32)),
+    "both_zero": (slice(0, 0), slice(0, 0)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", DSSIM_CASES)
+def test_dssim_window_equals_full_frame_oracle(case, dtype):
+    """``ops.DSSIM`` blurs only the occupied window, and its loss is the
+    full-frame oracle's bit for bit and its gradient equal to it (a zero
+    may differ in sign outside the window)."""
+    rng = np.random.default_rng(7)
+    x, y = np.zeros((2, 52, 56, 3))
+    rows, cols = DSSIM_CASES[case]
+    x[rows, cols] = rng.random(x[rows, cols].shape)
+    y[rows, cols] = rng.random(y[rows, cols].shape)
+    if case == "one_pixel":
+        x[rows, cols, 1:] = y[rows, cols, 1:] = 0.0
+    if case == "x_zero":
+        x[:] = 0.0
+    elif case == "y_zero":
+        y[:] = 0.0
+    x, y = x.astype(dtype), y.astype(dtype)
+
+    pred = engine.Tensor(x.copy(), requires_grad=True)
+    loss = losses.loss_dssim(pred, y)
+    loss.backward()
+    want_loss, want_grad = reference_dssim(x, y, losses.gaussian_window().astype(dtype),
+                                           losses.SSIM_C1, losses.SSIM_C2)
+    assert loss.data.dtype == dtype and loss.data.tobytes() == want_loss.tobytes()
+    assert pred.grad.dtype == dtype and np.array_equal(pred.grad, want_grad)
+    window = loss.ctx.win
+    if case == "both_zero":
+        assert window is None and float(loss.data) == 0.0 and not pred.grad.any()
+    else:
+        assert float(loss.data) > 0.0 and pred.grad.any()
+    if case == "centred":  # the window is a strict crop: content + 2r
+        assert window == (slice(12, 40), slice(14, 42))
 
 
 def test_normal_loss_masked_mean():
