@@ -19,7 +19,6 @@ from . import assets, deform, gstexture, splat, teacher
 from .assets import ContainerError, ValidationError
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 

@@ -18,7 +18,6 @@ from .assets import GaussianTexture, RiggedTemplate, ValidationError, sh_terms
 from .rotations import quat_to_matrix
 
 DEGENERATE_AREA = 1e-12  # m^2
-LOCAL_NORMAL = np.array([1.0, 0.0, 0.0])
 THIN_AXIS_SCALE = 0.01  # local thin-axis scale, pre-log
 
 SH_C0 = 0.28209479177387814

@@ -63,14 +63,15 @@ def order_key(depth: np.ndarray, camera: Camera, mode: str = "exact_f32") -> np.
 
 
 def sort_keys(gaussians: WorldGaussians, camera: Camera, mode: str = "exact_f32") -> np.ndarray:
-    """Front-to-back permutation of the visible Gaussians.
+    """Front-to-back permutation of the visible Gaussians: the order
+    ``composite`` runs (``tiles.front_to_back`` of ``order_key``).
 
     Gaussians outside (near, far) are culled from the permutation, not an
     error. Ties (equal depth or equal quantized key) keep index order.
     """
     proj = project_gaussians(gaussians.means, gaussians.rot_mats, gaussians.scales, camera)
     idx = np.nonzero(proj.visible)[0]
-    return idx[np.lexsort((idx, order_key(proj.depth[idx], camera, mode)))]
+    return idx[tiles.front_to_back(order_key(proj.depth[idx], camera, mode))]
 
 
 def splat_forward(means, rot_mats, scales, opacity, values, camera: Camera,

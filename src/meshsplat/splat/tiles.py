@@ -27,6 +27,12 @@ list runs out. Until a pixel stops, its sum is the dense per-pixel
 composite over the same order: tiling prunes only zero contributions,
 and the carried T is the dense running product bit for bit.
 
+Tiles are independent: ``_composite_tile`` runs one, and ``composite``
+runs them in this process or, without a cache, also in the worker
+processes of ``workers.split``. Each tile's bits depend only on the pair
+table and the constants, so the image does not depend on which process
+ran which tile.
+
 Weights are evaluated in tile-local coordinates. With (u, v) a pixel
 centre and (du, dv) a Gaussian's mean, both relative to the tile centre,
 the exponent -0.5 * mahalanobis^2 is a quadratic in (u, v): a row of six
@@ -65,6 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .projection import CUTOFF_SIGMA_SQ
 
 TILE = 12
@@ -147,13 +154,19 @@ def _radius_boxes(means2d, radius, width, height):
     return (*_tile_span(means2d[:, 0], radius, ntx), *_tile_span(means2d[:, 1], radius, nty))
 
 
+def front_to_back(key):
+    """The compositing order: the permutation that sorts the order key
+    ascending, ties by index."""
+    return np.argsort(key, kind="stable")
+
+
 def _box_pairs(x0, x1, y0, y1, depth):
     """(tile column, tile row, Gaussian) of every tile of each Gaussian's
-    box [x0, x1) x [y0, y1), the Gaussians taken in (depth, index) order.
-    [P] each. Each Gaussian is repeated over its rows and each row over
-    its columns, so no pair needs a division."""
-    front_to_back = np.argsort(depth, kind="stable")
-    x0, x1, y0, y1 = (v[front_to_back] for v in (x0, x1, y0, y1))
+    box [x0, x1) x [y0, y1), the Gaussians taken in ``front_to_back``
+    order of ``depth``. [P] each. Each Gaussian is repeated over its rows
+    and each row over its columns, so no pair needs a division."""
+    order = front_to_back(depth)
+    x0, x1, y0, y1 = (v[order] for v in (x0, x1, y0, y1))
     cols = np.maximum(x1 - x0, 0)
     rows = np.where(cols > 0, np.maximum(y1 - y0, 0), 0)
     row_of = np.repeat(np.arange(rows.size), rows)  # Gaussian (in order) of each row
@@ -161,7 +174,7 @@ def _box_pairs(x0, x1, y0, y1, depth):
     row_cols = cols[row_of]
     # a pair's column is its index less the row's first pair index, plus x0
     tx = np.arange(row_cols.sum()) + np.repeat(x0[row_of] - (np.cumsum(row_cols) - row_cols), row_cols)
-    return tx, np.repeat(ty, row_cols), np.repeat(front_to_back[row_of], row_cols)
+    return tx, np.repeat(ty, row_cols), np.repeat(order[row_of], row_cols)
 
 
 def _by_tile(tx, ty, width, height):
@@ -261,6 +274,43 @@ def tile_pairs(means2d, conic, radius, depth, width, height):
     return tile_of, gauss[kept], offset, conic_of, _exponent_coefs(conic_of, offset)
 
 
+def _composite_tile(out, k, spans, coefs_of, op_of, gauss_of, val_ext, v_max, chunk, stop_bound,
+                    keep_cache):
+    """Composite tile ``k`` into its block of ``out`` [H, W, C+1]: row k of
+    ``spans`` holds the tile's pixel origin (x0, y0) and its pair range
+    [s, e) in tile order. The list runs front to back in chunks of
+    ``chunk`` Gaussians, doubling, and a pixel stops at ``stop_bound``.
+    Returns the cache's chunks if ``keep_cache``, else []."""
+    x0, y0, s, end = spans[k].tolist()
+    height, width, n_ext = out.shape
+    w_px, h_px = min(TILE, width - x0), min(TILE, height - y0)
+    feats = _tile_features(w_px, h_px)
+    trans = np.ones(w_px * h_px)
+    acc = np.zeros((n_ext, w_px * h_px))
+    alive = np.arange(w_px * h_px)
+    chunks = []
+    size = chunk
+    while s < end and alive.size:
+        e = min(s + size, end)
+        pairs, ids = slice(s, e), gauss_of[s:e]
+        w = _weights(coefs_of[pairs], op_of[pairs], feats[:, alive])
+        s, size = e, 2 * size
+        # the carried T heads the running product, which then rounds
+        # exactly as one product over the whole list would
+        run = np.empty((ids.size + 1, alive.size))
+        run[0] = trans[alive]
+        np.subtract(1.0, w, out=run[1:])
+        np.multiply.accumulate(run, axis=0, out=run)
+        wt = np.multiply(w, run[:-1], out=None if keep_cache else w)
+        acc[:, alive] += val_ext[ids].T @ wt
+        trans[alive] = run[-1]
+        if keep_cache:
+            chunks.append((pairs, alive, w, wt))
+        alive = alive[run[-1] * v_max > stop_bound]
+    out[y0 : y0 + h_px, x0 : x0 + w_px] = acc.reshape(n_ext, h_px, w_px).transpose(1, 2, 0)
+    return chunks
+
+
 def composite(
     means2d: np.ndarray,
     conic: np.ndarray,
@@ -277,53 +327,51 @@ def composite(
     ``values`` is [N, C] with every channel composited identically;
     ``depth`` is the front-to-back order key (ties go by index). Inputs
     must already be restricted to visible Gaussians.
+
+    Without a cache the tiles are split over every CPU this process may
+    use (``workers.split``). With a cache, on one CPU, or when the split
+    does not run, a loop here runs them. Both run ``_composite_tile`` on
+    the same pair table, longest list first, and a tile's bits do not
+    depend on where or when it ran: the image is the same bit for bit,
+    and so are the backward's sums, which add per-pair rows in pair
+    order.
     """
     n, n_values = values.shape
     out_dtype = np.result_type(means2d.dtype, np.float32)
-    out = np.zeros((height, width, n_values + 1), dtype=np.float64)
+    shape = (height, width, n_values + 1)
+    if not keep_cache:
+        workers.ready()
     val64 = values.astype(np.float64)
     tile_of, gauss_of, offset_of, conic_of, coefs_of = tile_pairs(means2d, conic, radius, depth, width, height)
     op_of = opacity.astype(np.float64)[gauss_of]
     cache = TileCache(width, height, val64, gauss_of, offset_of, conic_of, op_of, []) if keep_cache else None
     del offset_of, conic_of  # only the cache reads these; freed before the tile loop
     if tile_of.size == 0:
-        return out.astype(out_dtype), cache
+        return np.zeros(shape, out_dtype), cache
     boundaries = np.flatnonzero(np.diff(tile_of)) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [tile_of.size]])
     ty_of, tx_of = np.divmod(tile_of[starts], (width + TILE - 1) // TILE)
+    # per tile, longest list first (the order tiles are claimed in): pixel origin and pair range
+    spans = np.stack([tx_of * TILE, ty_of * TILE, starts, ends], axis=1)[
+        np.argsort(starts - ends, kind="stable")]
     v_max = np.abs(val64).max(initial=1.0)
     val_ext = np.concatenate([val64, np.ones((n, 1))], axis=1)  # alpha composites a 1
+    # the list holds the only reference to each of the pair table's arrays,
+    # so the split frees each one once it is in the shared mapping
+    inputs = [spans, coefs_of, op_of, gauss_of, val_ext]
+    del tile_of, coefs_of, op_of, gauss_of, val_ext
 
-    for k in range(len(starts)):
-        x0, y0 = int(tx_of[k]) * TILE, int(ty_of[k]) * TILE
-        w_px, h_px = min(TILE, width - x0), min(TILE, height - y0)
-        feats = _tile_features(w_px, h_px)
-        trans = np.ones(w_px * h_px)
-        acc = np.zeros((n_values + 1, w_px * h_px))
-        alive = np.arange(w_px * h_px)
-        chunks = []
-        s, size = starts[k], CHUNK
-        while s < ends[k] and alive.size:
-            e = min(s + size, ends[k])
-            pairs, ids = slice(s, e), gauss_of[s:e]
-            w = _weights(coefs_of[pairs], op_of[pairs], feats[:, alive])
-            s, size = e, 2 * size
-            # the carried T heads the running product, which then rounds
-            # exactly as one product over the whole list would
-            run = np.empty((ids.size + 1, alive.size))
-            run[0] = trans[alive]
-            np.subtract(1.0, w, out=run[1:])
-            np.multiply.accumulate(run, axis=0, out=run)
-            wt = np.multiply(w, run[:-1], out=None if keep_cache else w)
-            acc[:, alive] += val_ext[ids].T @ wt
-            trans[alive] = run[-1]
-            if keep_cache:
-                chunks.append((pairs, alive, w, wt))
-            alive = alive[run[-1] * v_max > STOP_BOUND]
-        out[y0 : y0 + h_px, x0 : x0 + w_px] = acc.reshape(n_values + 1, h_px, w_px).transpose(1, 2, 0)
+    if not keep_cache:
+        out = workers.split(_composite_tile, len(spans), inputs, shape,
+                            (v_max, CHUNK, STOP_BOUND, False), out_dtype)
+        if out is not None:
+            return out, cache
+    out = np.zeros(shape)
+    for k in range(len(spans)):
+        chunks = _composite_tile(out, k, *inputs, v_max, CHUNK, STOP_BOUND, keep_cache)
         if keep_cache:
-            cache.tiles.append((x0, y0, chunks))
+            cache.tiles.append((*spans[k, :2].tolist(), chunks))
     return out.astype(out_dtype), cache
 
 

@@ -1,7 +1,28 @@
+import glob
+
 import numpy as np
 import pytest
 
 from meshsplat import assets, gstexture
+from meshsplat.splat import workers
+
+
+def _children():
+    """Pids of this process's children that are not yet reaped."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as f:
+            pids += f.read().split()
+    return pids
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_outlives_the_session():
+    """Stop the compositor's workers at session end; then no child of the
+    test process may be left."""
+    yield
+    workers.stop()
+    assert not _children(), f"child processes left at session end: {_children()}"
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ import pytest
 from meshsplat import assets, skinning, splat
 from meshsplat.gstexture import WorldGaussians, local_to_world
 from meshsplat.rotations import axis_angle_to_quat, quat_to_matrix
-from meshsplat.splat import meshraster, tiles
+from meshsplat.splat import meshraster, tiles, workers
 from meshsplat.splat.projection import EIG_FLOOR, _eig_clamp
 
 from oracles import (
@@ -172,6 +177,13 @@ def _image(target):
                            target.alpha[..., None]], axis=2).astype(np.float64)
 
 
+@pytest.fixture()
+def in_process(monkeypatch):
+    """Composite every tile in this process, where a patched module
+    function is the one that runs: a forked worker never sees the patch."""
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 0)
+
+
 def _count_weight_evals(monkeypatch):
     """Patch ``tiles._weights`` to count the (Gaussian, pixel) entries it
     evaluates; returns the running count in a one-element list."""
@@ -199,7 +211,7 @@ def _output_rounding(ref, dtype):
 
 
 @pytest.mark.parametrize("chunk", [tiles.CHUNK, 16])
-def test_early_stop_stays_within_bound_on_saturating_shell(monkeypatch, clothed_rig,
+def test_early_stop_stays_within_bound_on_saturating_shell(monkeypatch, in_process, clothed_rig,
                                                            clothed_texture, chunk):
     monkeypatch.setattr(tiles, "CHUNK", chunk)
     wg, cam = _opaque_shell(clothed_rig, clothed_texture)
@@ -255,7 +267,7 @@ def _assert_equals_reference_where_no_pixel_stops(args, rng):
 
 
 @pytest.mark.parametrize("chunk", [tiles.CHUNK, 1, 7])
-def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, chunk):
+def test_chunked_compositor_equals_reference_where_no_pixel_stops(monkeypatch, in_process, chunk):
     monkeypatch.setattr(tiles, "CHUNK", chunk)
     rng = np.random.default_rng(11)
     wg = _random_cloud(rng, 80)
@@ -443,7 +455,7 @@ def test_composite_without_cache_equals_with_cache(clothed_rig, clothed_texture)
     assert np.array_equal(splat.composite(*args)[0], splat.composite(*args, keep_cache=True)[0])
 
 
-def test_weight_clamp_skipped_only_where_it_changes_nothing(monkeypatch, clothed_rig,
+def test_weight_clamp_skipped_only_where_it_changes_nothing(monkeypatch, in_process, clothed_rig,
                                                             clothed_texture):
     """Below ``W_MAX`` the clamp pass is skipped, and the image equals a
     forced clamp bit for bit; above it every cached weight is clamped."""
@@ -465,8 +477,8 @@ def test_weight_clamp_skipped_only_where_it_changes_nothing(monkeypatch, clothed
     assert np.array_equal(splat.composite(*args)[0], skipped)
 
 
-def test_backward_clamp_mask_skipped_only_where_it_changes_nothing(monkeypatch, clothed_rig,
-                                                                  clothed_texture):
+def test_backward_clamp_mask_skipped_only_where_it_changes_nothing(monkeypatch, in_process,
+                                                                  clothed_rig, clothed_texture):
     """Below ``W_MAX`` the backward skips the clamp mask, and its gradients
     equal the masked form's bit for bit; above it a clamped pixel passes
     no weight gradient on."""
@@ -551,6 +563,197 @@ def test_gradient_checks_pass_across_chunks(monkeypatch, chunk):
         report = check()
         assert report.ok, report.summary()
         assert report.tol == preflight.TOL_SPLAT
+
+
+# ---------------------------------------------------------------------------
+# tile workers
+
+
+def _split_scene(scene, rig, texture):
+    """``composite``'s arguments for the split path's scenes."""
+    rng = np.random.default_rng(21)
+    if scene == "shell":  # saturating; 4 of its 32 tiles run a second chunk
+        return _composite_args(*_opaque_shell(rig, texture))
+    wg = _random_cloud(rng, 200)
+    if scene == "empty_view":  # every Gaussian behind the camera
+        return _composite_args(dataclasses.replace(wg, means=wg.means + np.float32([0, 10, 0])),
+                               _front_camera())
+    res = {"one_tile": (tiles.TILE, tiles.TILE), "edge_tiles": (50, 38)}[scene]
+    return _composite_args(wg, _front_camera(res=res))
+
+
+def _bytes(image):
+    return image.dtype, image.shape, image.tobytes()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("scene", ["empty_view", "one_tile", "edge_tiles", "shell"])
+def test_split_image_is_bytes_equal_to_in_process_loop(monkeypatch, clothed_rig, clothed_texture,
+                                                       scene, n_workers):
+    args = _split_scene(scene, clothed_rig, clothed_texture)
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 0)
+    want = splat.composite(*args)[0]
+    monkeypatch.setattr(workers, "spare_cpus", lambda: n_workers)
+    assert _bytes(splat.composite(*args)[0]) == _bytes(want)
+    if scene != "empty_view":
+        assert len(workers._pool.workers) == n_workers
+
+
+def test_split_reads_the_chunk_size_of_each_call(monkeypatch, clothed_rig, clothed_texture):
+    """A worker forked before ``CHUNK`` is patched composites with the
+    patched value (28 of the shell's 32 tiles then run several chunks):
+    the constants travel with each request."""
+    args = _split_scene("shell", clothed_rig, clothed_texture)
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 1)
+    full = splat.composite(*args)[0]  # forks the worker at the default chunk
+    monkeypatch.setattr(tiles, "CHUNK", 16)
+    split16 = splat.composite(*args)[0]
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 0)
+    assert _bytes(split16) == _bytes(splat.composite(*args)[0])
+    assert not np.array_equal(split16, full), "the chunk size moves no bit of this scene"
+
+
+def test_a_call_that_outgrows_the_mapping_forks_again(monkeypatch, clothed_rig, clothed_texture):
+    """It runs in this process; the next call forks before building its
+    pair table, at twice its size, and splits."""
+    args = _split_scene("shell", clothed_rig, clothed_texture)
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 0)
+    want = _bytes(splat.composite(*args)[0])
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_MIN_BYTES", 1 << 16)
+    monkeypatch.setattr(workers, "_wanted", 0)
+    workers.stop()
+
+    def tiles_done(pool):
+        means2d, conic, _, _, key, radius, width, height = args
+        n = np.unique(tiles.tile_pairs(means2d, conic, radius, key, width, height)[0]).size
+        return np.frombuffer(pool.mem, np.uint8, n, workers._ALIGN)
+
+    assert _bytes(splat.composite(*args)[0]) == want
+    small = workers._pool
+    assert small.size == 1 << 16 < workers._wanted
+    assert _bytes(splat.composite(*args)[0]) == want
+    assert workers._pool is not small and workers._pool.size == workers._wanted
+    assert tiles_done(workers._pool).all()
+
+
+_TEST_PROCESS = os.getpid()
+_composite_tile = tiles._composite_tile
+
+
+def _die_in_worker(out, k, *rest):
+    """``tiles._composite_tile``, except that a forked worker kills itself
+    on the first tile it claims."""
+    if os.getpid() != _TEST_PROCESS:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.002)  # leave the worker tiles to claim
+    _composite_tile(out, k, *rest)
+
+
+def test_worker_killed_mid_call_leaves_the_image_bytes_equal(monkeypatch, clothed_rig,
+                                                             clothed_texture):
+    args = _split_scene("edge_tiles", clothed_rig, clothed_texture)
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 0)
+    want = splat.composite(*args)[0]
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 1)
+    splat.composite(*args)  # the worker is up before its tile function is swapped
+    monkeypatch.setattr(tiles, "_composite_tile", _die_in_worker)
+    assert _bytes(splat.composite(*args)[0]) == _bytes(want)
+    assert workers._pool is None, "the worker finished the call alive"
+
+
+def test_render_after_worker_sigkill_is_bytes_equal(monkeypatch, clothed_rig, clothed_texture):
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 1)
+    args = _split_scene("shell", clothed_rig, clothed_texture)
+    first = splat.composite(*args)[0]
+    (pid, _, _), = workers._pool.workers
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    assert _bytes(splat.composite(*args)[0]) == _bytes(first)  # in-process
+    assert _bytes(splat.composite(*args)[0]) == _bytes(first)  # a new worker
+    (new_pid, _, _), = workers._pool.workers
+    assert new_pid != pid
+    with pytest.raises(ChildProcessError):  # the dead one was reaped
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_render_runs_in_process_when_no_worker_can_fork(monkeypatch, clothed_rig,
+                                                        clothed_texture):
+    args = _split_scene("edge_tiles", clothed_rig, clothed_texture)
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 0)
+    want = _bytes(splat.composite(*args)[0])
+    monkeypatch.setattr(workers, "spare_cpus", lambda: 1)
+    workers.stop()
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _bytes(splat.composite(*args)[0]) == want
+    assert workers._pool is None
+
+
+_RENDER_ONCE = """
+import os, signal, sys
+import numpy as np
+from meshsplat import assets, splat
+from meshsplat.gstexture import WorldGaussians
+from meshsplat.splat import workers
+
+workers.spare_cpus = lambda: 1
+rng = np.random.default_rng(0)
+n = 60
+wg = WorldGaussians(
+    means=rng.uniform(-0.8, 0.8, (n, 3)).astype(np.float32),
+    rot_mats=np.tile(np.eye(3, dtype=np.float32), (n, 1, 1)),
+    scales=np.full((n, 3), 0.05, np.float32), opacity=np.full(n, 0.5, np.float32),
+    color=rng.random((n, 3)).astype(np.float32), normal=np.tile(np.float32([1, 0, 0]), (n, 1)))
+cam = assets.perspective_camera((0.0, 3.0, 0.0), (0.0, 0.0, 0.0), (64, 64), focal_px=70.0,
+                                near=0.1, far=20.0)
+splat.render(wg, cam)
+print(workers._pool.workers[0][0], flush=True)
+end = sys.argv[1]
+if end == "raise":
+    raise RuntimeError("uncaught")
+if end == "sigkill":
+    sys.stdin.read()  # until the test has read the pid
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _gone(pid, seconds=10.0):
+    """Whether ``pid`` exits within ``seconds``; a zombie counts as gone
+    (no process is left to reap an orphan in some containers)."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+@pytest.mark.parametrize("end", ["exit", "raise", "sigkill"])
+def test_no_worker_outlives_its_process(end):
+    src = str(Path(splat.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cmd = [sys.executable, "-c", _RENDER_ONCE, end]
+    if end == "sigkill":
+        proc = subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        pid = int(proc.stdout.readline())
+        proc.communicate(timeout=60)  # closes stdin: the process kills itself
+        assert proc.returncode == -signal.SIGKILL
+    else:
+        # returns only once every holder of the output pipes has closed them
+        run = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == (0 if end == "exit" else 1), run.stderr
+        pid = int(run.stdout.split()[0])
+        with pytest.raises(FileNotFoundError):  # reaped at exit
+            open(f"/proc/{pid}/stat")
+    assert _gone(pid)
 
 
 # ---------------------------------------------------------------------------
